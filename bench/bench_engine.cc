@@ -21,7 +21,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -119,43 +118,26 @@ agree(const RunMetrics &a, const RunMetrics &b)
 int
 main(int argc, char **argv)
 {
-    std::string out_path = "BENCH_engine.json";
-    InstCount instructions = 0; // 0 = default budget (scaled)
+    CliParser cli("bench_engine",
+                  "tick vs event engine throughput on the same "
+                  "workloads");
+    cli.option("--out", "FILE",
+               "JSON report path (default BENCH_engine.json)")
+        .optionUInt("--instructions", "N",
+                    "per-core budget (default 4M, scaled by "
+                    "DAS_SIM_SCALE)")
+        .option("--workload", "NAME",
+                "bench a single workload (a SPEC profile or 'idle')");
+    cli.parse(argc, argv);
+
+    const std::string out_path = cli.str("--out", "BENCH_engine.json");
+    const InstCount instructions = cli.uns("--instructions", 0);
+    if (cli.given("--instructions") && instructions == 0)
+        fatal("--instructions needs a positive integer");
     std::vector<std::string> benches{"idle", "mcf", "milc",
                                      "cactusADM"};
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto need_value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for {}", flag);
-            return argv[++i];
-        };
-        if (arg == "--out") {
-            out_path = need_value("--out");
-        } else if (arg == "--instructions") {
-            instructions = std::strtoull(
-                need_value("--instructions").c_str(), nullptr, 10);
-            if (instructions == 0)
-                fatal("--instructions needs a positive integer");
-        } else if (arg == "--workload") {
-            benches = {need_value("--workload")};
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf(
-                "usage: %s [--out FILE] [--instructions N] "
-                "[--workload NAME]\n"
-                "  --out FILE        JSON report path (default "
-                "BENCH_engine.json)\n"
-                "  --instructions N  per-core budget (default 4M, "
-                "scaled by DAS_SIM_SCALE)\n"
-                "  --workload NAME   bench a single workload (a SPEC "
-                "profile or 'idle')\n",
-                argv[0]);
-            return 0;
-        } else {
-            fatal("unknown argument '{}' (try --help)", arg);
-        }
-    }
+    if (cli.given("--workload"))
+        benches = {cli.str("--workload")};
 
     SimConfig cfg;
     cfg.design = DesignKind::Das;

@@ -301,10 +301,8 @@ ChannelController::finish(std::unique_ptr<MemRequest> req, Cycle at,
         RequestSpan &s = *req->span;
         s.dataCycle = at;
         s.location = req->location;
-        // Emission happens in completion order, which the engine and
-        // threading equivalence suites prove deterministic; finish()
-        // never runs inside a parallel channel span (see
-        // parallelSafeThrough), so sinks need no locking.
+        // Emission happens in completion order, which the engine
+        // equivalence suites prove deterministic.
         if (spanSink_)
             spanSink_->onSpan(s);
     }
@@ -922,20 +920,6 @@ ChannelController::nextWakeCycle(Cycle now) const
     if (cfg_.page == PagePolicy::Closed && preMinReady_ != kCycleMax)
         next = std::min(next, std::max(now + 1, preMinReady_));
     return next;
-}
-
-bool
-ChannelController::parallelSafeThrough(Cycle hi) const
-{
-    if (!writeQueue_.empty())
-        return false; // writes fire their callback at WR issue time
-    if (!completions_.empty() && completions_.front().at <= hi)
-        return false;
-    for (const auto &m : activeMigrations_) {
-        if (m.first <= hi)
-            return false;
-    }
-    return true;
 }
 
 bool

@@ -193,18 +193,6 @@ class ChannelController
     /** Outstanding work (queues, in-flight, migrations)? */
     bool busy() const;
 
-    /**
-     * True iff this channel provably cannot interact with anything
-     * outside itself through cycle @p hi inclusive: no read completion
-     * or migration completion callback fires at or before @p hi and no
-     * write is queued (writes complete — and fire their callback — at
-     * WR issue time). DramSystem's deterministic per-channel threading
-     * only advances channels concurrently over spans that every channel
-     * reports safe, so callbacks always run on the caller's thread in
-     * serial order.
-     */
-    bool parallelSafeThrough(Cycle hi) const;
-
     /** Attach (or detach with nullptr) the command observer. */
     void setCommandSink(CommandSink *sink) { sink_ = sink; }
 

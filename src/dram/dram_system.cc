@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hh"
 #include "mem/request_trace.hh"
 
 namespace dasdram
@@ -12,8 +11,8 @@ DramSystem::DramSystem(const DramGeometry &geom, const DramTiming &timing,
                        const RowClassifier &classifier,
                        const ControllerConfig &ctrl_cfg,
                        MappingScheme scheme)
-    : timing_(timing), mapper_(geom, scheme), sink_(ctrl_cfg.cmdSink),
-      spanSink_(ctrl_cfg.spanSink), statGroup_("dram")
+    : timing_(timing), mapper_(geom, scheme), spanSink_(ctrl_cfg.spanSink),
+      statGroup_("dram")
 {
     channels_.reserve(geom.channels);
     for (unsigned c = 0; c < geom.channels; ++c) {
@@ -23,22 +22,6 @@ DramSystem::DramSystem(const DramGeometry &geom, const DramTiming &timing,
     }
     statGroup_.addCounter("forwardedReads", &forwardedReads_,
                           "reads served from a channel write queue");
-
-    // Shortest issue-to-side-effect latency: a read's data return
-    // (CAS + burst, fast class is the minimum) or a migration/swap
-    // completing. Anything issued inside a span shorter than this
-    // completes strictly after the span, so spans are callback-free.
-    const Cycle min_cas =
-        std::min(timing_.fast.tCL, timing_.slow.tCL) + timing_.tBL;
-    minReadSpan_ = std::min(
-        min_cas, std::min(timing_.migrationCycles, timing_.swapCycles));
-    if (minReadSpan_ == 0)
-        minReadSpan_ = 1;
-}
-
-DramSystem::~DramSystem()
-{
-    stopWorkers();
 }
 
 bool
@@ -174,7 +157,6 @@ DramSystem::rebindMigrations(
 void
 DramSystem::setCommandSink(CommandSink *sink)
 {
-    sink_ = sink;
     for (const auto &ch : channels_)
         ch->setCommandSink(sink);
 }
@@ -185,158 +167,6 @@ DramSystem::setRequestTraceSink(RequestTraceSink *sink)
     spanSink_ = sink;
     for (const auto &ch : channels_)
         ch->setSpanSink(sink);
-}
-
-void
-DramSystem::setChannelThreads(unsigned n)
-{
-    if (n == 0)
-        n = 1;
-    n = std::min(n, numChannels());
-    if (n == threads_)
-        return;
-    stopWorkers();
-    threads_ = n;
-    if (threads_ > 1)
-        startWorkers();
-}
-
-void
-DramSystem::startWorkers()
-{
-    spanSinks_.resize(numChannels());
-    workers_.reserve(threads_ - 1);
-    for (unsigned i = 0; i + 1 < threads_; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-void
-DramSystem::stopWorkers()
-{
-    if (workers_.empty())
-        return;
-    {
-        std::lock_guard<std::mutex> lk(mtx_);
-        shutdown_ = true;
-    }
-    cvStart_.notify_all();
-    for (std::thread &t : workers_)
-        t.join();
-    workers_.clear();
-    shutdown_ = false;
-}
-
-void
-DramSystem::workerLoop()
-{
-    std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lk(mtx_);
-    for (;;) {
-        cvStart_.wait(lk, [&] { return shutdown_ || spanGen_ != seen; });
-        if (shutdown_)
-            return;
-        seen = spanGen_;
-        const Cycle from = spanFrom_;
-        const Cycle hi = spanHi_;
-        lk.unlock();
-        const unsigned n = numChannels();
-        for (;;) {
-            const unsigned c =
-                nextSpanChannel_.fetch_add(1, std::memory_order_relaxed);
-            if (c >= n)
-                break;
-            advanceChannelSpan(c, from, hi);
-        }
-        lk.lock();
-        if (--busyWorkers_ == 0)
-            cvDone_.notify_one();
-    }
-}
-
-Cycle
-DramSystem::parallelSpanEnd(Cycle target) const
-{
-    const Cycle hi = std::min(target, lastMemCycle_ + minReadSpan_);
-    if (hi <= lastMemCycle_)
-        return lastMemCycle_;
-    for (const auto &ch : channels_) {
-        if (!ch->parallelSafeThrough(hi))
-            return lastMemCycle_;
-    }
-    return hi;
-}
-
-void
-DramSystem::advanceChannelSpan(unsigned c, Cycle from, Cycle hi)
-{
-    // Identical trajectory to the serial catch-up loop restricted to
-    // this channel: every cycle skipped here is below the channel's own
-    // horizon, where its tick() is a proven no-op.
-    ChannelController &ch = *channels_[c];
-    Cycle cur = from;
-    while (cur < hi) {
-        const Cycle w = ch.nextWakeCycle(cur);
-        if (w > hi)
-            break;
-        cur = std::max(cur + 1, w);
-        ch.tick(cur);
-    }
-}
-
-void
-DramSystem::runSpanParallel(Cycle from, Cycle hi)
-{
-    const unsigned n = numChannels();
-    // Divert each channel's command stream into a per-channel buffer so
-    // concurrent channels never touch the shared sink.
-    for (unsigned c = 0; c < n; ++c) {
-        spanSinks_[c].records.clear();
-        channels_[c]->setCommandSink(sink_ ? &spanSinks_[c] : nullptr);
-    }
-
-    {
-        std::lock_guard<std::mutex> lk(mtx_);
-        spanFrom_ = from;
-        spanHi_ = hi;
-        nextSpanChannel_.store(0, std::memory_order_relaxed);
-        busyWorkers_ = static_cast<unsigned>(workers_.size());
-        ++spanGen_;
-    }
-    cvStart_.notify_all();
-
-    // The main thread claims channels alongside the workers.
-    for (;;) {
-        const unsigned c =
-            nextSpanChannel_.fetch_add(1, std::memory_order_relaxed);
-        if (c >= n)
-            break;
-        advanceChannelSpan(c, from, hi);
-    }
-    {
-        std::unique_lock<std::mutex> lk(mtx_);
-        cvDone_.wait(lk, [&] { return busyWorkers_ == 0; });
-    }
-
-    for (unsigned c = 0; c < n; ++c)
-        channels_[c]->setCommandSink(sink_);
-
-    if (!sink_)
-        return;
-    // Merge buffered records back into exact serial issue order: the
-    // serial loop visits channels in index order at each cycle, so a
-    // stable sort by cycle over channel-ordered buffers reproduces it
-    // (per-channel emission order is preserved by stability).
-    mergeBuf_.clear();
-    for (unsigned c = 0; c < n; ++c) {
-        mergeBuf_.insert(mergeBuf_.end(), spanSinks_[c].records.begin(),
-                         spanSinks_[c].records.end());
-    }
-    std::stable_sort(mergeBuf_.begin(), mergeBuf_.end(),
-                     [](const CmdRecord &a, const CmdRecord &b) {
-                         return a.cycle < b.cycle;
-                     });
-    for (const CmdRecord &rec : mergeBuf_)
-        sink_->onCommand(rec);
 }
 
 void
@@ -352,14 +182,6 @@ DramSystem::tick(Cycle now_tick)
         if (next_needed > target) {
             lastMemCycle_ = target;
             break;
-        }
-        if (threads_ > 1) {
-            const Cycle hi = parallelSpanEnd(target);
-            if (hi > lastMemCycle_ && next_needed <= hi) {
-                runSpanParallel(lastMemCycle_, hi);
-                lastMemCycle_ = hi;
-                continue;
-            }
         }
         lastMemCycle_ = std::max(lastMemCycle_ + 1, next_needed);
         for (const auto &ch : channels_)

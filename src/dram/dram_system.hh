@@ -2,19 +2,15 @@
  * @file
  * Multi-channel DRAM system: address decoding, request routing, write-
  * to-read forwarding, clock-domain conversion (global ticks ↔ memory
- * cycles), the migration interface used by DAS-DRAM, and optional
- * deterministic per-channel threading for the catch-up loop.
+ * cycles) and the migration interface used by DAS-DRAM.
  */
 
 #ifndef DASDRAM_DRAM_DRAM_SYSTEM_HH
 #define DASDRAM_DRAM_DRAM_SYSTEM_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/stats.hh"
@@ -43,8 +39,6 @@ class DramSystem
                const RowClassifier &classifier,
                const ControllerConfig &ctrl_cfg = {},
                MappingScheme scheme = MappingScheme::RoRaBaChCo);
-
-    ~DramSystem();
 
     DramSystem(const DramSystem &) = delete;
     DramSystem &operator=(const DramSystem &) = delete;
@@ -99,21 +93,6 @@ class DramSystem
      */
     void setRequestTraceSink(RequestTraceSink *sink);
 
-    /**
-     * Set the number of threads used to advance channels inside
-     * tick(). Clamped to [1, numChannels()]; 1 (the default) keeps the
-     * fully serial path. Results are bit-identical for every value:
-     * channels only advance in parallel across spans proven free of
-     * cross-channel interaction (no queued writes, no completion or
-     * migration callback due, span capped below the shortest
-     * read/migration latency), and buffered command records are merged
-     * back into exact serial issue order.
-     */
-    void setChannelThreads(unsigned n);
-
-    /** Current channel-threading width (1 = serial). */
-    unsigned channelThreads() const { return threads_; }
-
     /** Advance the memory clock up to @p now_tick (call monotonically). */
     void tick(Cycle now_tick);
 
@@ -155,8 +134,8 @@ class DramSystem
     /// @name Checkpointing
     /// @{
 
-    /** Checkpoint the memory clock and every channel (worker-pool and
-     *  sink wiring is reconstructed, not stored). */
+    /** Checkpoint the memory clock and every channel (sink wiring is
+     *  reconstructed, not stored). */
     void serdeState(Archive &ar);
 
     /**
@@ -182,65 +161,12 @@ class DramSystem
     /// @}
 
   private:
-    /** Buffers one channel's command records during a parallel span. */
-    struct BufferSink : CommandSink
-    {
-        std::vector<CmdRecord> records;
-        void onCommand(const CmdRecord &rec) override
-        {
-            records.push_back(rec);
-        }
-    };
-
-    /**
-     * End of the longest span starting at lastMemCycle_ that every
-     * channel can advance independently (lastMemCycle_ itself when no
-     * such span exists). Capped at @p target and at lastMemCycle_ +
-     * minReadSpan_ so nothing issued inside the span also completes
-     * inside it.
-     */
-    Cycle parallelSpanEnd(Cycle target) const;
-
-    /** Advance channel @p c over (from, hi] using its own horizons. */
-    void advanceChannelSpan(unsigned c, Cycle from, Cycle hi);
-
-    /** Run one parallel span over (from, hi] across the worker pool. */
-    void runSpanParallel(Cycle from, Cycle hi);
-
-    void workerLoop();
-    void startWorkers();
-    void stopWorkers();
-
     DramTiming timing_;
     AddressMapper mapper_;
     std::vector<std::unique_ptr<ChannelController>> channels_;
     Cycle lastMemCycle_ = 0;
 
-    CommandSink *sink_ = nullptr; ///< system-wide sink (may be null)
     RequestTraceSink *spanSink_ = nullptr; ///< request-span sink
-
-    /**
-     * Shortest latency from any in-span command issue to its earliest
-     * observable side effect (read completion or migration finish).
-     * Parallel spans never exceed this length, so span execution is
-     * callback-free and channels are fully independent.
-     */
-    Cycle minReadSpan_ = 1;
-
-    unsigned threads_ = 1;
-    std::vector<std::thread> workers_;
-    std::vector<BufferSink> spanSinks_;
-    std::vector<CmdRecord> mergeBuf_;
-
-    std::mutex mtx_;
-    std::condition_variable cvStart_;
-    std::condition_variable cvDone_;
-    std::uint64_t spanGen_ = 0;  ///< bumped per published span
-    bool shutdown_ = false;
-    unsigned busyWorkers_ = 0;
-    Cycle spanFrom_ = 0;
-    Cycle spanHi_ = 0;
-    std::atomic<unsigned> nextSpanChannel_{0};
 
     StatGroup statGroup_;
     Counter forwardedReads_;

@@ -195,7 +195,7 @@ class RequestTraceSink
     virtual ~RequestTraceSink() = default;
 
     /** Called once per sampled request, at completion, in completion
-     *  order (deterministic across engines and channel threading). */
+     *  order (deterministic across engines). */
     virtual void onSpan(const RequestSpan &span) = 0;
 };
 
@@ -226,9 +226,9 @@ class RequestSpanFanout : public RequestTraceSink
  * Deterministic request sampler. Each call to maybeStart() consumes
  * one decision: the decision sequence number is hashed (splitmix64)
  * against the seed, so the sampled subset depends only on (seed,
- * rate, decision index) — never on wall-clock, engine or threading.
- * Decisions are made at request-creation points that are already
- * proven identical across engines/threads (MSHR allocation, writeback
+ * rate, decision index) — never on wall-clock or engine. Decisions
+ * are made at request-creation points that are already proven
+ * identical across engines (MSHR allocation, writeback
  * emission, table-walk issue), so the same requests are sampled
  * everywhere.
  */

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/log.hh"
 
 namespace dasdram
@@ -31,6 +32,37 @@ loadConfigFile(const CliParser &cli, SimConfig &cfg)
     std::ostringstream ss;
     ss << is.rdbuf();
     cfg = configFromJson(ss.str(), cfg);
+}
+
+void
+applyConfigAssignment(SimConfig &cfg, const std::string &assignment)
+{
+    const std::size_t eq = assignment.find('=');
+    if (eq == std::string::npos)
+        fatal("malformed --set argument '{}' (need key=value)",
+              assignment);
+    const std::string path = assignment.substr(0, eq);
+    std::string value = assignment.substr(eq + 1);
+    JsonValue parsed;
+    if (!parseJson(value, parsed))
+        value = JsonWriter::quoted(value);
+
+    // "a.b=v" -> {"a":{"b":v}}
+    std::string patch;
+    std::size_t depth = 0;
+    for (std::size_t start = 0;; ++depth) {
+        const std::size_t dot = path.find('.', start);
+        const std::string key = path.substr(start, dot - start);
+        if (key.empty())
+            fatal("malformed --set argument '{}' (empty key segment)",
+                  assignment);
+        patch += "{" + JsonWriter::quoted(key) + ":";
+        if (dot == std::string::npos)
+            break;
+        start = dot + 1;
+    }
+    patch += value + std::string(depth + 1, '}');
+    cfg = configFromJson(patch, cfg);
 }
 
 bool

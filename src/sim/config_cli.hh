@@ -26,6 +26,8 @@
 #ifndef DASDRAM_SIM_CONFIG_CLI_HH
 #define DASDRAM_SIM_CONFIG_CLI_HH
 
+#include <string>
+
 #include "common/cli.hh"
 #include "sim/sim_config.hh"
 
@@ -40,6 +42,17 @@ void addConfigOptions(CliParser &cli);
  * unknown keys fatal, missing file fatal. No-op without --config.
  */
 void loadConfigFile(const CliParser &cli, SimConfig &cfg);
+
+/**
+ * Apply one "key=value" override (dasdram_run --set) through
+ * configFromJson, so it obeys the same rules as --config: the key is a
+ * dotted --dump-config path ("das.promotionThreshold=4" becomes
+ * {"das":{"promotionThreshold":4}}), unknown keys are fatal, and a
+ * value that does not parse as JSON is taken as a string
+ * ("das.replacement=random"). A missing '=' or an empty key segment
+ * is fatal too.
+ */
+void applyConfigAssignment(SimConfig &cfg, const std::string &assignment);
 
 /**
  * With --dump-config: print configToJson(@p cfg) to stdout and return

@@ -110,12 +110,11 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
     auto dram = std::make_unique<DramSystem>(c.geom, dut, cls, c.ctrl,
                                              c.mapping);
     dram->setCommandSink(fanout.get());
-    dram->setChannelThreads(c.channelThreads);
 
     // Request-span tracing under fuzz traffic: every created request
     // draws a sampling decision (before the canAccept bail-out, so the
     // decision stream is a pure function of the creation sequence and
-    // therefore identical across engines and thread counts).
+    // therefore identical across engines).
     RequestTracer tracer(c.seed, c.traceRequests);
     CountingSpanSink span_sink;
     if (c.traceRequests > 0.0)
@@ -199,7 +198,6 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
             fanout->addSink(checker.get());
             fanout->addSink(extra_sink);
             dram->setCommandSink(fanout.get());
-            dram->setChannelThreads(c.channelThreads);
             if (c.traceRequests > 0.0)
                 dram->setRequestTraceSink(&span_sink);
 
@@ -398,39 +396,28 @@ diffRuns(std::string &detail, const FuzzReport &a, const FuzzReport &b,
 FuzzDifferential
 runFuzzDifferential(const FuzzCase &c)
 {
-    return runFuzzDifferential(c, {c.channelThreads});
-}
-
-FuzzDifferential
-runFuzzDifferential(const FuzzCase &c,
-                    const std::vector<unsigned> &thread_counts)
-{
     const DesignSpec &spec = designSpec(c.design);
     const DramTiming t = ddr3_1600Timing(spec.charmColumnOpt);
-    const std::vector<unsigned> threads =
-        thread_counts.empty() ? std::vector<unsigned>{1} : thread_counts;
     // With c.traceRequests set, cross span sampling off/on too:
     // tracing is observation-only, so every report field and
-    // command-trace byte must survive turning it on, at every
-    // (engine, threads) combination. Rate 0 keeps the historical
-    // engine x threads matrix (and its cost) unchanged.
+    // command-trace byte must survive turning it on, under both
+    // engines.
     std::vector<double> rates{0.0};
     if (c.traceRequests > 0.0)
         rates.push_back(c.traceRequests);
 
     // With c.checkpointAtCycle set, cross the snapshot round trip too:
-    // every (engine, threads, rate) combination additionally runs with
-    // a mid-run checkpoint/restore, and must still match the straight
+    // every (engine, rate) combination additionally runs with a
+    // mid-run checkpoint/restore, and must still match the straight
     // (never-checkpointed) tick reference byte for byte.
     std::vector<Cycle> checkpoints{0};
     if (c.checkpointAtCycle > 0)
         checkpoints.push_back(c.checkpointAtCycle);
 
-    auto run_one = [&](SimEngine engine, unsigned nthreads, double rate,
-                       Cycle checkpoint, std::string &trace_text) {
+    auto run_one = [&](SimEngine engine, double rate, Cycle checkpoint,
+                       std::string &trace_text) {
         FuzzCase one = c;
         one.engine = engine;
-        one.channelThreads = nthreads;
         one.traceRequests = rate;
         one.checkpointAtCycle = checkpoint;
         std::ostringstream os;
@@ -440,56 +427,49 @@ runFuzzDifferential(const FuzzCase &c,
         return rep;
     };
 
-    // The tick engine at the first thread count with sampling off is
-    // the reference every other (engine, threads, rate) combination
-    // must match byte-for-byte.
+    // The straight tick run with sampling off is the reference every
+    // other (engine, rate, checkpoint) combination must match
+    // byte-for-byte.
     FuzzDifferential d;
     std::string ref_trace;
-    d.tick =
-        run_one(SimEngine::Tick, threads.front(), 0.0, 0, ref_trace);
+    d.tick = run_one(SimEngine::Tick, 0.0, 0, ref_trace);
     bool have_event = false;
     std::uint64_t span_ref = 0;
     bool have_span_ref = false;
     for (SimEngine engine : {SimEngine::Tick, SimEngine::Event}) {
-        for (unsigned n : threads) {
-            for (double rate : rates) {
-                for (Cycle checkpoint : checkpoints) {
-                    if (engine == SimEngine::Tick &&
-                        n == threads.front() && rate == 0.0 &&
-                        checkpoint == 0) {
-                        continue;
-                    }
-                    std::string trace;
-                    FuzzReport rep =
-                        run_one(engine, n, rate, checkpoint, trace);
-                    if (engine == SimEngine::Event && !have_event &&
-                        rate == 0.0 && checkpoint == 0) {
-                        d.event = rep;
-                        have_event = true;
-                    }
-                    std::string detail;
-                    diffRuns(detail, d.tick, rep, ref_trace, trace);
-                    if (!detail.empty() && d.detail.empty()) {
+        for (double rate : rates) {
+            for (Cycle checkpoint : checkpoints) {
+                if (engine == SimEngine::Tick && rate == 0.0 &&
+                    checkpoint == 0)
+                    continue;
+                std::string trace;
+                FuzzReport rep = run_one(engine, rate, checkpoint, trace);
+                if (engine == SimEngine::Event && !have_event &&
+                    rate == 0.0 && checkpoint == 0) {
+                    d.event = rep;
+                    have_event = true;
+                }
+                std::string detail;
+                diffRuns(detail, d.tick, rep, ref_trace, trace);
+                if (!detail.empty() && d.detail.empty()) {
+                    d.detail = formatStr("{}/rate={}/checkpoint={}: {}",
+                                         toString(engine), rate,
+                                         checkpoint, detail);
+                }
+                // Sampled runs must agree with each other on the span
+                // count: the decisions are a pure function of (seed,
+                // rate, creation order), all identical here.
+                if (rate > 0.0) {
+                    if (!have_span_ref) {
+                        span_ref = rep.spansEmitted;
+                        have_span_ref = true;
+                    } else if (rep.spansEmitted != span_ref &&
+                               d.detail.empty()) {
                         d.detail = formatStr(
-                            "{}/threads={}/rate={}/checkpoint={}: {}",
-                            toString(engine), n, rate, checkpoint,
-                            detail);
-                    }
-                    // Sampled runs must agree with each other on the
-                    // span count: the decisions are a pure function of
-                    // (seed, rate, creation order), all identical here.
-                    if (rate > 0.0) {
-                        if (!have_span_ref) {
-                            span_ref = rep.spansEmitted;
-                            have_span_ref = true;
-                        } else if (rep.spansEmitted != span_ref &&
-                                   d.detail.empty()) {
-                            d.detail = formatStr(
-                                "{}/threads={}/rate={}/checkpoint={}: "
-                                "spansEmitted {} != reference {}",
-                                toString(engine), n, rate, checkpoint,
-                                rep.spansEmitted, span_ref);
-                        }
+                            "{}/rate={}/checkpoint={}: spansEmitted {} "
+                            "!= reference {}",
+                            toString(engine), rate, checkpoint,
+                            rep.spansEmitted, span_ref);
                     }
                 }
             }

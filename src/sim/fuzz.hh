@@ -69,14 +69,6 @@ struct FuzzCase
     SimEngine engine = SimEngine::Tick;
 
     /**
-     * DramSystem channel-threading width (clamped to the channel
-     * count). Results are bit-identical for every value by
-     * construction; the differential mode crosses engines against
-     * thread counts to enforce exactly that.
-     */
-    unsigned channelThreads = 1;
-
-    /**
      * When > 0: at this memory cycle the run serializes the DRAM
      * system and the protocol checker through the snapshot codec,
      * destroys them, rebuilds fresh instances, restores and rebinds
@@ -154,30 +146,20 @@ struct FuzzDifferential
 /**
  * Differential oracle: run @p c once per engine (same seed, same
  * timing on controller and checker) and compare the reports and the
- * complete command traces line by line. Any divergence — a command
- * issued at a different cycle, a different completion count, a
- * protocol violation in either run — is reported in `detail`.
+ * complete command traces line by line. When c.traceRequests > 0 it
+ * also crosses span sampling off/on, and when c.checkpointAtCycle > 0
+ * a mid-run snapshot round trip off/on: every (engine, rate,
+ * checkpoint) combination from {tick, event} × {0, c.traceRequests} ×
+ * {straight, checkpointed} is compared against the straight unsampled
+ * tick run, proving request tracing and checkpoint/restore are both
+ * observation-equivalent. Sampled runs must additionally agree on the
+ * emitted span count. Any divergence — a command issued at a
+ * different cycle, a different completion count, a protocol violation
+ * in either run — is reported in `detail`, naming the first diverging
+ * combination. The returned `tick`/`event` reports are the two
+ * straight unsampled runs.
  */
 FuzzDifferential runFuzzDifferential(const FuzzCase &c);
-
-/**
- * Extended differential oracle crossing engines against channel-thread
- * counts — and, when c.traceRequests > 0, span sampling off/on, and,
- * when c.checkpointAtCycle > 0, a mid-run snapshot round trip
- * off/on: every (engine, threads, rate, checkpoint) combination from
- * {tick, event} × @p thread_counts × {0, c.traceRequests} ×
- * {straight, checkpointed} runs with the same seed and is compared —
- * reports and full command traces — against the straight tick run at
- * the first thread count with sampling off, proving request tracing
- * and checkpoint/restore are both observation-equivalent. Sampled
- * runs must additionally agree on the emitted span count. `detail`
- * names the first diverging combination. The returned `tick`/`event`
- * reports are the two straight unsampled runs at the first thread
- * count.
- */
-FuzzDifferential
-runFuzzDifferential(const FuzzCase &c,
-                    const std::vector<unsigned> &thread_counts);
 
 /**
  * The standard fuzz grid: designs (standard/sas/charm/das/das-fm/fs) ×

@@ -170,7 +170,6 @@ configToJson(const SimConfig &cfg)
     w.field("coreStrideBytes", cfg.coreStride);
     w.field("protocolCheck", cfg.protocolCheck);
     w.field("mshrsPerCore", cfg.mshrsPerCore);
-    w.field("channelThreads", cfg.channelThreads);
 
     w.key("core").beginObject();
     w.field("issueWidth", cfg.core.issueWidth);
@@ -263,7 +262,6 @@ configFromJson(const std::string &text, SimConfig base)
     r.uns("coreStrideBytes", cfg.coreStride);
     r.boolean("protocolCheck", cfg.protocolCheck);
     r.uns("mshrsPerCore", cfg.mshrsPerCore);
-    r.uns("channelThreads", cfg.channelThreads);
 
     if (const JsonValue *v = r.section("core")) {
         ObjReader s(*v, "config.core");
@@ -347,7 +345,6 @@ configFingerprint(const SimConfig &cfg)
     // documented as excluded before hashing.
     SimConfig c = cfg;
     c.engine = SimEngine::Event;
-    c.channelThreads = 1;
     c.obs.statsOut.clear();
     c.obs.statsDir.clear();
     c.obs.traceOut.clear();

@@ -135,13 +135,6 @@ struct SimConfig
     /** MSHR entries (outstanding line fills) per core. */
     unsigned mshrsPerCore = 32;
 
-    /**
-     * Threads used by DramSystem::tick to advance channels (clamped to
-     * the channel count; 1 = fully serial). Any value produces
-     * bit-identical results — see DramSystem::setChannelThreads.
-     */
-    unsigned channelThreads = 1;
-
     /** Histograms, epoch series and export files. */
     ObservabilityConfig obs{};
 
@@ -181,9 +174,9 @@ SimConfig configFromJson(const std::string &text, SimConfig base = {});
  * Deterministic fingerprint of every configuration field that shapes
  * simulated state. Excluded: the export destinations (statsOut,
  * statsDir, traceOut, spansOut), the run-identity strings
- * (workloadName, label), the engine and channelThreads — all proven
- * not to affect state, so a checkpoint can be restored under a
- * different engine, thread count or output set. Everything else
+ * (workloadName, label) and the engine — all proven not to affect
+ * state, so a checkpoint can be restored under a different engine or
+ * output set. Everything else
  * participates, including observability knobs that change the
  * serialised shape (histograms, epochMemCycles, traceRequests).
  * Stamped into checkpoints and enforced at load.

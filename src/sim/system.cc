@@ -75,7 +75,6 @@ System::System(const SimConfig &cfg, std::vector<TraceSource *> traces)
     cfg_.ctrl.histograms = cfg_.obs.histograms;
     dram_ = std::make_unique<DramSystem>(cfg_.geom, timing_, cls,
                                          cfg_.ctrl);
-    dram_->setChannelThreads(cfg_.channelThreads);
     if (cfg_.protocolCheck) {
         // The checker gets the same row-class oracle as the controller,
         // so the class stamped on every ACT is cross-checked, and an
@@ -91,7 +90,6 @@ System::System(const SimConfig &cfg, std::vector<TraceSource *> traces)
             *traceFile_, cfg_.geom, timing_);
     }
     rebuildCommandSinks();
-    warnIfThreadedTraceExport();
     caches_ = std::make_unique<CacheHierarchy>(cfg_.numCores, cfg_.caches,
                                                cfg_.seed);
 
@@ -223,19 +221,6 @@ System::rebuildCommandSinks()
 }
 
 void
-System::warnIfThreadedTraceExport()
-{
-    if (!chromeTrace_ || cfg_.channelThreads <= 1 || warnedThreadedTrace_)
-        return;
-    warnedThreadedTrace_ = true;
-    warn("--trace-out with --channel-threads={}: command records are "
-         "buffered per channel during parallel spans and stable-sorted "
-         "by cycle before the trace writer sees them, so the export is "
-         "deterministic but the writer only observes merged order",
-         cfg_.channelThreads);
-}
-
-void
 System::attachCommandTrace(std::ostream &os)
 {
     cmdTrace_ = std::make_unique<CommandTrace>(os);
@@ -249,7 +234,6 @@ System::attachChromeTrace(std::ostream &os)
         std::make_unique<ChromeTraceWriter>(os, cfg_.geom, timing_);
     das_->setEventSink(chromeTrace_.get());
     rebuildCommandSinks();
-    warnIfThreadedTraceExport();
 }
 
 void
@@ -332,8 +316,8 @@ System::startMiss(unsigned core, Addr line, bool is_write, Cycle at,
         return; // caller retries
     mshrs_->allocate(line);
     // Sample at MSHR allocation: the set of allocations (and their
-    // order) is already proven identical across engines and channel
-    // threading, so the sampled subset is too.
+    // order) is already proven identical across engines, so the
+    // sampled subset is too.
     std::unique_ptr<RequestSpan> span;
     if (tracer_) {
         span = tracer_->maybeStart();
@@ -741,8 +725,7 @@ System::loadSnapshot(const std::string &path)
         fatal("checkpoint '{}': config fingerprint mismatch ({} in "
               "file, {} for this configuration) — a restore needs the "
               "same state-shaping configuration the checkpoint was "
-              "taken with (export paths, engine and channel threading "
-              "may differ)",
+              "taken with (export paths and engine may differ)",
               path, fp, want);
     }
     serdeState(ar);

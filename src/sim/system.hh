@@ -195,8 +195,8 @@ class System
     /**
      * Restore state from a checkpoint written by saveSnapshot. The
      * system must be built from a configuration whose fingerprint
-     * matches the checkpoint's (export paths, engine and channel
-     * threading may differ — see configFingerprint); mismatches, bad
+     * matches the checkpoint's (export paths and engine may differ —
+     * see configFingerprint); mismatches, bad
      * magic, truncation and too-new versions are fatal. A subsequent
      * run() continues bit-identically to a run that never stopped.
      */
@@ -303,8 +303,6 @@ class System
     void resetAfterWarmup();
     /** Re-point every channel at the active set of command sinks. */
     void rebuildCommandSinks();
-    /** One-shot warning for Chrome trace export + channel threading. */
-    void warnIfThreadedTraceExport();
     /** Run identity stamped into span-JSONL meta records. */
     SpanJsonlMeta spanMeta() const;
 
@@ -354,8 +352,6 @@ class System
     CacheHierarchy::WritebackSink wbSink_;
     std::uint64_t warmupCycleStamp_ = 0;
     bool warmupDone_ = false;
-    /** Chrome-trace + channel-threads warning already emitted. */
-    bool warnedThreadedTrace_ = false;
 
     StatGroup statGroup_;
 };

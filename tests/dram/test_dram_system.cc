@@ -165,13 +165,11 @@ class RecordingCommandSink : public CommandSink
 
 } // namespace
 
-// Regression for the threaded trace-merge point: with channel
-// threading, per-channel command records are buffered and merged back
-// with a stable sort by cycle, so any external sink (Chrome trace,
-// command trace, checker) must observe exactly the serial order —
-// cycles non-decreasing, and equal-cycle records in channel index
-// order (the serial loop visits channels in index order each cycle).
-TEST(DramSystem, ThreadedCommandMergeIsStableSortedByCycle)
+// Any external command sink (Chrome trace, command trace, checker)
+// observes the catch-up loop's order: cycles non-decreasing, and
+// equal-cycle records in channel index order (the loop visits channels
+// in index order each cycle).
+TEST(DramSystem, CommandStreamIsOrderedByCycleThenChannel)
 {
     DramGeometry geom;
     DramTiming timing = ddr3_1600Timing();
@@ -179,13 +177,12 @@ TEST(DramSystem, ThreadedCommandMergeIsStableSortedByCycle)
     DramSystem dram(geom, timing, classifier);
     RecordingCommandSink sink;
     dram.setCommandSink(&sink);
-    dram.setChannelThreads(4);
 
     unsigned completed = 0;
     unsigned submitted = 0;
     Cycle t = 0;
     // A staggered burst across both channels and several banks keeps
-    // multiple channels concurrently busy through the merge point.
+    // multiple channels busy in the same cycles.
     for (unsigned wave = 0; wave < 6; ++wave) {
         for (unsigned i = 0; i < 8; ++i) {
             Addr addr = (static_cast<Addr>(wave * 8 + i) * 0x4340) &
@@ -221,7 +218,18 @@ TEST(DramSystem, ThreadedCommandMergeIsStableSortedByCycle)
         if (prev.cycle == cur.cycle) {
             ASSERT_LE(prev.channel, cur.channel)
                 << "equal-cycle records " << i - 1 << "," << i
-                << " not in channel order (merge not stable)";
+                << " not in channel order";
         }
     }
+}
+
+/** nextWakeMemCycle is the mem-cycle primitive behind nextWakeTick. */
+TEST(DramSystem, NextWakeMemCycleMatchesTickDomain)
+{
+    DramGeometry geom;
+    const DramTiming timing = ddr3_1600Timing();
+    UniformRowClassifier cls(RowClass::Slow);
+    DramSystem dram(geom, timing, cls, {});
+    EXPECT_EQ(dram.nextWakeMemCycle(0), timing.tREFI);
+    EXPECT_EQ(dram.nextWakeTick(0), timing.tREFI * kMemTick);
 }

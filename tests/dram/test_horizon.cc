@@ -1,9 +1,9 @@
 /**
  * @file
  * Horizon-tightness and readiness-cache tests for the channel
- * controller and the threaded DramSystem.
+ * controller.
  *
- * Three layers:
+ * Two layers:
  *  1. A property test: under randomized traffic, nextWakeCycle never
  *     overshoots the first cycle at which a per-cycle tick reference
  *     does observable work (command issued, read completion fired,
@@ -13,8 +13,6 @@
  *     every readiness-cache invalidation edge: ACT, conflict PRE,
  *     refresh start/end, migration issue/complete (including
  *     reservation-exempt rows) and the row-class dependence.
- *  3. A DramSystem-level determinism test: identical command streams
- *     and completions across --channel-threads settings.
  */
 
 #include <gtest/gtest.h>
@@ -28,8 +26,6 @@
 #include "common/random.hh"
 #include "core/subarray_layout.hh"
 #include "dram/controller.hh"
-#include "dram/dram_system.hh"
-#include "mem/clock.hh"
 
 using namespace dasdram;
 
@@ -550,118 +546,4 @@ TEST(ReadinessCache, RowClassSelectsColumnWindow)
     slow.enqueueRead(5, 0); // slow slot
     slow.ctrl->tick(1);
     EXPECT_EQ(slow.ctrl->nextWakeCycle(1), 1 + slow.timing.slow.tRCD);
-}
-
-namespace
-{
-
-/** Run randomized two-channel traffic on a DramSystem. */
-RunResult
-runThreadedSystem(unsigned threads, std::uint64_t seed)
-{
-    DramGeometry geom; // 2 channels by default
-    const DramTiming timing = ddr3_1600Timing();
-    UniformRowClassifier cls(RowClass::Slow);
-    DramSystem dram(geom, timing, cls, {});
-    RecordingSink sink;
-    dram.setCommandSink(&sink);
-    dram.setChannelThreads(threads);
-
-    RunResult res;
-    Rng rng(seed);
-    std::uint64_t next_id = 1;
-    const std::uint64_t columns = geom.rowBytes / geom.lineBytes;
-    unsigned submitted = 0;
-    const unsigned total = 300;
-
-    for (Cycle mem = 0; mem < 400'000; ++mem) {
-        const Cycle now_tick = mem * kMemTick;
-        unsigned burst = static_cast<unsigned>(rng.nextBelow(3));
-        for (unsigned i = 0; i < burst && submitted < total; ++i) {
-            auto req = std::make_unique<MemRequest>();
-            req->id = next_id++;
-            req->isWrite = rng.chance(0.2);
-            req->loc.channel =
-                static_cast<unsigned>(rng.nextBelow(geom.channels));
-            req->loc.rank = static_cast<unsigned>(
-                rng.nextBelow(geom.ranksPerChannel));
-            req->loc.bank = static_cast<unsigned>(
-                rng.nextBelow(geom.banksPerRank));
-            req->loc.row = rng.nextBelow(64);
-            req->loc.column = rng.nextBelow(columns);
-            req->addr = dram.mapper().encode(req->loc);
-            const std::uint64_t id = req->id;
-            req->onComplete = [&res, id](MemRequest &, Cycle at) {
-                res.completions.emplace_back(id, at);
-            };
-            if (!dram.canAccept(req->loc, req->isWrite))
-                break;
-            dram.submit(std::move(req), now_tick);
-            ++submitted;
-            ++res.enqueued;
-        }
-        if (submitted < total && rng.chance(0.01)) {
-            unsigned ch = static_cast<unsigned>(
-                rng.nextBelow(geom.channels));
-            dram.startMigration(
-                ch, 0, 0, 40, 2, true, 0, 64,
-                [&res](Cycle at) { res.migsDone.push_back(at); });
-            ++res.migsInjected;
-        }
-        dram.tick(now_tick);
-        if (submitted >= total && res.completions.size() >= submitted &&
-            res.migsDone.size() >= res.migsInjected && !dram.busy()) {
-            break;
-        }
-    }
-    res.trace = sink.render();
-    return res;
-}
-
-} // namespace
-
-/**
- * The determinism contract of --channel-threads: every thread count
- * yields the identical command stream (order included), completion
- * times and migration finishes.
- */
-TEST(ChannelThreads, BitIdenticalAcrossThreadCounts)
-{
-    const RunResult serial = runThreadedSystem(1, 2024);
-    EXPECT_GT(serial.enqueued, 0u);
-    EXPECT_EQ(serial.completions.size(), serial.enqueued);
-
-    for (unsigned threads : {2u, 4u}) {
-        const RunResult par = runThreadedSystem(threads, 2024);
-        EXPECT_EQ(serial.trace, par.trace) << "threads=" << threads;
-        EXPECT_EQ(serial.completions, par.completions)
-            << "threads=" << threads;
-        EXPECT_EQ(serial.migsDone, par.migsDone)
-            << "threads=" << threads;
-    }
-}
-
-/** setChannelThreads clamps to the channel count and back to serial. */
-TEST(ChannelThreads, ClampAndReconfigure)
-{
-    DramGeometry geom;
-    const DramTiming timing = ddr3_1600Timing();
-    UniformRowClassifier cls(RowClass::Slow);
-    DramSystem dram(geom, timing, cls, {});
-    EXPECT_EQ(dram.channelThreads(), 1u);
-    dram.setChannelThreads(64);
-    EXPECT_EQ(dram.channelThreads(), geom.channels);
-    dram.setChannelThreads(0);
-    EXPECT_EQ(dram.channelThreads(), 1u);
-}
-
-/** nextWakeMemCycle is the mem-cycle primitive behind nextWakeTick. */
-TEST(ChannelThreads, NextWakeMemCycleMatchesTickDomain)
-{
-    DramGeometry geom;
-    const DramTiming timing = ddr3_1600Timing();
-    UniformRowClassifier cls(RowClass::Slow);
-    DramSystem dram(geom, timing, cls, {});
-    EXPECT_EQ(dram.nextWakeMemCycle(0), timing.tREFI);
-    EXPECT_EQ(dram.nextWakeTick(0), timing.tREFI * kMemTick);
 }

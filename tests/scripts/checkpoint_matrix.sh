@@ -1,6 +1,6 @@
 #!/bin/sh
 # Bit-identity acceptance matrix for the snapshot/restore subsystem:
-# every design x both engines x --channel-threads 1,2,4. Each cell
+# every design x both engines. Each cell
 # runs straight with a mid-run checkpoint, restores that checkpoint in
 # a fresh process, and requires
 #   - stats JSONL:    byte-identical,
@@ -29,40 +29,38 @@ suffix_of() {
 fail=0
 for design in $DESIGNS; do
     for engine in tick event; do
-        for threads in 1 2 4; do
-            tag="$design-$engine-t$threads"
-            ckpt="$WORK/$tag.ckpt"
-            for mode in cold warm; do
-                if [ "$mode" = cold ]; then
-                    snap="--checkpoint-out 150000:$ckpt"
-                else
-                    snap="--restore $ckpt"
-                fi
-                # shellcheck disable=SC2086  # $snap is two words
-                "$RUN" --workload mcf --design "$design" \
-                    --instructions 60000 --engine "$engine" \
-                    --channel-threads "$threads" --trace-requests 1 \
-                    $snap \
-                    --stats-out "$WORK/$tag.$mode.stats.jsonl" \
-                    --spans-out "$WORK/$tag.$mode.spans.jsonl" \
-                    --trace-cmds "$WORK/$tag.$mode.cmds.txt" \
-                    > /dev/null
-            done
-            ok=1
-            cmp -s "$WORK/$tag.cold.stats.jsonl" \
-                "$WORK/$tag.warm.stats.jsonl" || ok=0
-            tail -n +2 "$WORK/$tag.cold.spans.jsonl" > "$WORK/cold.body"
-            tail -n +2 "$WORK/$tag.warm.spans.jsonl" > "$WORK/warm.body"
-            suffix_of "$WORK/cold.body" "$WORK/warm.body" || ok=0
-            suffix_of "$WORK/$tag.cold.cmds.txt" \
-                "$WORK/$tag.warm.cmds.txt" || ok=0
-            if [ "$ok" = 1 ]; then
-                echo "ok   $tag"
+        tag="$design-$engine"
+        ckpt="$WORK/$tag.ckpt"
+        for mode in cold warm; do
+            if [ "$mode" = cold ]; then
+                snap="--checkpoint-out 150000:$ckpt"
             else
-                echo "FAIL $tag"
-                fail=1
+                snap="--restore $ckpt"
             fi
+            # shellcheck disable=SC2086  # $snap is two words
+            "$RUN" --workload mcf --design "$design" \
+                --instructions 60000 --engine "$engine" \
+                --trace-requests 1 \
+                $snap \
+                --stats-out "$WORK/$tag.$mode.stats.jsonl" \
+                --spans-out "$WORK/$tag.$mode.spans.jsonl" \
+                --trace-cmds "$WORK/$tag.$mode.cmds.txt" \
+                > /dev/null
         done
+        ok=1
+        cmp -s "$WORK/$tag.cold.stats.jsonl" \
+            "$WORK/$tag.warm.stats.jsonl" || ok=0
+        tail -n +2 "$WORK/$tag.cold.spans.jsonl" > "$WORK/cold.body"
+        tail -n +2 "$WORK/$tag.warm.spans.jsonl" > "$WORK/warm.body"
+        suffix_of "$WORK/cold.body" "$WORK/warm.body" || ok=0
+        suffix_of "$WORK/$tag.cold.cmds.txt" \
+            "$WORK/$tag.warm.cmds.txt" || ok=0
+        if [ "$ok" = 1 ]; then
+            echo "ok   $tag"
+        else
+            echo "FAIL $tag"
+            fail=1
+        fi
     done
 done
 exit $fail

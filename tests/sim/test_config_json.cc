@@ -3,13 +3,15 @@
  * Tests for the SimConfig JSON round-trip (sim_config.hh): every field
  * survives serialise→parse, partial documents keep base defaults,
  * enums parse from their config spellings, and unknown keys fail
- * loudly instead of being silently dropped.
+ * loudly instead of being silently dropped — for --config files and
+ * --set key=value assignments alike (sim/config_cli.hh).
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "sim/config_cli.hh"
 #include "sim/sim_config.hh"
 
 using namespace dasdram;
@@ -99,4 +101,45 @@ TEST(ConfigJson, MalformedJsonIsFatal)
     EXPECT_DEATH(configFromJson("{nope"), "");
     EXPECT_DEATH(configFromJson(R"({"design": "warp-drive"})"),
                  "warp-drive");
+}
+
+TEST(ConfigJson, SetAssignmentMatchesConfigFile)
+{
+    SimConfig set;
+    applyConfigAssignment(set, "das.promotionThreshold=4");
+    const SimConfig file =
+        configFromJson(R"({"das":{"promotionThreshold":4}})");
+    EXPECT_EQ(set.das.promotion.threshold, 4u);
+    EXPECT_EQ(configToJson(set), configToJson(file));
+}
+
+TEST(ConfigJson, SetAssignmentTakesNonJsonValuesAsStrings)
+{
+    SimConfig cfg;
+    applyConfigAssignment(cfg, "das.replacement=random");
+    applyConfigAssignment(cfg, "workload=lbm");
+    applyConfigAssignment(cfg, "warmupFraction=0.5");
+    applyConfigAssignment(cfg, "das.exclusiveCache=false");
+    EXPECT_EQ(cfg.das.replacement, parseFastReplPolicy("random"));
+    EXPECT_EQ(cfg.workload, "lbm");
+    EXPECT_EQ(cfg.warmupFraction, 0.5);
+    EXPECT_FALSE(cfg.das.exclusiveCache);
+}
+
+TEST(ConfigJson, SetAssignmentUnknownKeyIsFatal)
+{
+    SimConfig cfg;
+    EXPECT_DEATH(applyConfigAssignment(cfg, "das.thresold=4"), "thresold");
+    EXPECT_DEATH(applyConfigAssignment(cfg, "das.promotionThreshold=x"),
+                 "promotionThreshold");
+}
+
+TEST(ConfigJson, MalformedSetAssignmentIsFatal)
+{
+    SimConfig cfg;
+    EXPECT_DEATH(applyConfigAssignment(cfg, "das.promotionThreshold"),
+                 "need key=value");
+    EXPECT_DEATH(applyConfigAssignment(cfg, "das..x=1"),
+                 "empty key segment");
+    EXPECT_DEATH(applyConfigAssignment(cfg, "=1"), "empty key segment");
 }

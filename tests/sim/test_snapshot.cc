@@ -149,7 +149,7 @@ TEST(SnapshotDeathTest, ConfigFingerprintMismatchIsFatal)
     das_sys.saveSnapshot(path);
 
     // A state-shaping difference (the design) must refuse to restore;
-    // engine/threading/output differences deliberately do not.
+    // engine/output differences deliberately do not.
     SimConfig std_cfg = snapConfig(DesignKind::Standard);
     SyntheticTrace t2(snapProfile(), 1);
     System std_sys(std_cfg, {&t2});
@@ -174,12 +174,10 @@ TEST(Snapshot, RestoreCrossesEngineAndThreads)
     cfg.engine = SimEngine::Event;
     std::string straight = runWithCheckpoint(cfg, 200'000, path);
 
-    // The fingerprint admits engine and channel-threading changes:
-    // restoring under the tick engine with wider threading must still
-    // reproduce the event run bit for bit.
+    // The fingerprint admits an engine change: restoring under the
+    // tick engine must still reproduce the event run bit for bit.
     SimConfig other = cfg;
     other.engine = SimEngine::Tick;
-    other.channelThreads = 2;
     std::string restored = runRestored(other, path);
     EXPECT_EQ(straight, restored);
     std::remove(path.c_str());

@@ -67,18 +67,14 @@ main(int argc, char **argv)
                       "request-span sampling rate in [0,1]; plain runs "
                       "attach a counting span sink, --differential "
                       "additionally crosses RATE against sampling off")
-        .option("--channel-threads", "N[,N...]",
-                "DramSystem channel-threading width (default 1); with "
-                "--differential, a comma list crosses every count "
-                "against both engines")
         .optionUInt("--checkpoint-cycle", "N",
                     "serialize/destroy/restore the DRAM system and "
                     "checker at memory cycle N mid-run; with "
                     "--differential, crosses checkpointed runs against "
                     "straight ones and fails on any divergence")
         .flag("--differential",
-              "run every matching case through BOTH engines (and every "
-              "--channel-threads count) and fail on any divergence")
+              "run every matching case through BOTH engines and fail "
+              "on any divergence")
         .flag("--list",
               "print case names and per-case seeds, then exit")
         .flag("--quiet",
@@ -125,35 +121,6 @@ main(int argc, char **argv)
         fatal("--trace-requests needs a rate in [0, 1], got {}",
               trace_requests);
 
-    // --channel-threads: a single count for plain runs; a comma list
-    // crosses all of them against both engines under --differential.
-    std::vector<unsigned> thread_counts{
-        cfg.channelThreads > 0 ? cfg.channelThreads : 1};
-    if (cli.given("--channel-threads")) {
-        thread_counts.clear();
-        std::string spec = cli.str("--channel-threads");
-        std::size_t pos = 0;
-        while (pos <= spec.size()) {
-            std::size_t comma = spec.find(',', pos);
-            std::string tok = spec.substr(
-                pos, comma == std::string::npos ? comma : comma - pos);
-            if (tok.empty() || tok.find_first_not_of("0123456789") !=
-                                   std::string::npos) {
-                fatal("--channel-threads needs positive integers, "
-                      "got '{}'", spec);
-            }
-            unsigned n = static_cast<unsigned>(std::stoul(tok));
-            if (n == 0)
-                fatal("--channel-threads needs positive integers");
-            thread_counts.push_back(n);
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
-        }
-        if (thread_counts.size() > 1 && !differential)
-            fatal("a --channel-threads list requires --differential");
-    }
-
     std::ofstream trace_os;
     std::unique_ptr<CommandTrace> trace;
     if (!trace_path.empty()) {
@@ -174,23 +141,21 @@ main(int argc, char **argv)
         }
         c.engine = engine;
         c.workload = workload;
-        c.channelThreads = thread_counts.front();
         c.traceRequests = trace_requests;
         c.checkpointAtCycle = cli.uns("--checkpoint-cycle", 0);
         std::string replay_wl =
             workload.empty() ? "" : " --workload '" + workload + "'";
         if (differential) {
-            FuzzDifferential d = runFuzzDifferential(c, thread_counts);
+            FuzzDifferential d = runFuzzDifferential(c);
             ++ran;
             if (d.ok()) {
                 if (!quiet) {
                     std::printf("ok   %-24s seed=%llu commands=%llu "
-                                "(tick == event x %zu thread count(s))\n",
+                                "(tick == event)\n",
                                 c.name.c_str(),
                                 static_cast<unsigned long long>(c.seed),
                                 static_cast<unsigned long long>(
-                                    d.tick.commands),
-                                thread_counts.size());
+                                    d.tick.commands));
                 }
                 continue;
             }
@@ -207,19 +172,11 @@ main(int argc, char **argv)
             if (!d.event.firstViolation.empty())
                 std::printf("     event first violation: %s\n",
                             d.event.firstViolation.c_str());
-            std::string replay_threads;
-            for (unsigned n : thread_counts) {
-                replay_threads += replay_threads.empty()
-                                      ? " --channel-threads "
-                                      : ",";
-                replay_threads += std::to_string(n);
-            }
             std::printf("     replay: %s --seed %llu --requests %u "
-                        "--differential --filter '%s'%s%s\n",
+                        "--differential --filter '%s'%s\n",
                         argv[0],
                         static_cast<unsigned long long>(base_seed),
-                        requests, c.name.c_str(), replay_wl.c_str(),
-                        replay_threads.c_str());
+                        requests, c.name.c_str(), replay_wl.c_str());
             continue;
         }
         if (trace)

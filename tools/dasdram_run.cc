@@ -26,7 +26,10 @@
  * the complete effective configuration as JSON and exits; --config
  * FILE loads such a file as the new defaults (command-line flags still
  * override it). Round trip: dasdram_run --seed 7 --dump-config > c.json
- * && dasdram_run --config c.json runs the same point.
+ * && dasdram_run --config c.json runs the same point. --set KEY=VALUE
+ * patches one --dump-config field through the same reader, applied
+ * after the other flags (--set das.promotionThreshold=4 equals a
+ * --config file holding {"das":{"promotionThreshold":4}}).
  *
  * Trace recording (--record): re-runs the point directly (like
  * --stats) with every core's delivered trace captured to
@@ -49,13 +52,13 @@
  * after tick CYCLE ("warmup:PATH" saves right after the warm-up
  * reset); --restore PATH resumes from such a snapshot, and the resumed
  * run is bit-identical to the uninterrupted one (same stats JSONL,
- * same command-trace and span-JSONL suffix) under either engine and
- * any --channel-threads value. Both flags run the point directly —
- * no summary, and --baseline/--csv/--json do not apply. --warm-dir
- * DIR instead enables warm-start sharing inside the sweep engine:
- * each point forks from (or publishes) the warmed snapshot of its
- * config fingerprint under DIR, so re-running against the same
- * directory skips all warm-up re-simulation bit-identically.
+ * same command-trace and span-JSONL suffix) under either engine. Both
+ * flags run the point directly — no summary, and --baseline/--csv/
+ * --json do not apply. --warm-dir DIR instead enables warm-start
+ * sharing inside the sweep engine: each point forks from (or
+ * publishes) the warmed snapshot of its config fingerprint under DIR,
+ * so re-running against the same directory skips all warm-up
+ * re-simulation bit-identically.
  */
 
 #include <cstdio>
@@ -67,7 +70,6 @@
 #include <vector>
 
 #include "common/cli.hh"
-#include "common/config.hh"
 #include "common/log.hh"
 #include "sim/config_cli.hh"
 #include "sim/experiment.hh"
@@ -78,28 +80,6 @@ using namespace dasdram;
 
 namespace
 {
-
-void
-applyOverrides(SimConfig &cfg, const Config &overrides)
-{
-    cfg.das.promotion.threshold = static_cast<unsigned>(
-        overrides.getUInt("das.threshold",
-                          cfg.das.promotion.threshold));
-    cfg.das.translationCacheBytes = overrides.getUInt(
-        "das.tcBytes", cfg.das.translationCacheBytes);
-    if (overrides.has("das.replacement")) {
-        cfg.das.replacement = parseFastReplPolicy(
-            overrides.getString("das.replacement", "lru"));
-    }
-    cfg.das.exclusiveCache =
-        overrides.getBool("das.exclusive", cfg.das.exclusiveCache);
-    cfg.layout.groupSize = static_cast<unsigned>(
-        overrides.getUInt("layout.groupSize", cfg.layout.groupSize));
-    cfg.layout.fastRatioDenom = static_cast<unsigned>(overrides.getUInt(
-        "layout.fastRatioDenom", cfg.layout.fastRatioDenom));
-    cfg.warmupFraction =
-        overrides.getDouble("sim.warmup", cfg.warmupFraction);
-}
 
 void
 printSummary(const WorkloadSpec &w, const ExperimentResult &r,
@@ -191,9 +171,6 @@ main(int argc, char **argv)
                 "(direct rerun)")
         .optionUInt("--epoch", "N",
                     "stats time-series epoch in memory cycles (0 = off)")
-        .optionUInt("--channel-threads", "N",
-                    "threads advancing DRAM channels inside the memory "
-                    "clock (bit-identical results; default 1)")
         .flag("--baseline",
               "also run standard DRAM and report the improvement")
         .flag("--stats", "dump the full stats tree (direct rerun)")
@@ -209,9 +186,10 @@ main(int argc, char **argv)
                 "warm-start checkpoint directory shared by sweep "
                 "points (see the header of tools/dasdram_run.cc)")
         .option("--set", "key=value",
-                "config override, repeatable: das.threshold, "
-                "das.tcBytes, das.replacement, das.exclusive, "
-                "layout.groupSize, layout.fastRatioDenom, sim.warmup");
+                "config override, repeatable; keys are --dump-config "
+                "paths (e.g. das.promotionThreshold=4, "
+                "das.replacement=random, warmupFraction=0.2) and "
+                "unknown keys are fatal");
     addConfigOptions(cli);
     cli.parse(argc, argv);
 
@@ -230,12 +208,6 @@ main(int argc, char **argv)
         cfg.engine = parseEngine(cli.str("--engine"));
     if (cli.given("--epoch"))
         cfg.obs.epochMemCycles = cli.uns("--epoch", 0);
-    if (cli.given("--channel-threads")) {
-        cfg.channelThreads =
-            static_cast<unsigned>(cli.uns("--channel-threads", 0));
-        if (cfg.channelThreads == 0)
-            fatal("--channel-threads needs a positive integer");
-    }
     cfg.protocolCheck = cli.enabled("--check", cfg.protocolCheck);
 
     unsigned jobs = static_cast<unsigned>(cli.uns("--jobs", 0));
@@ -243,12 +215,8 @@ main(int argc, char **argv)
         fatal("--jobs needs a positive integer");
 
     applySimScale(cfg);
-    Config overrides;
-    for (const std::string &kv : cli.strs("--set")) {
-        if (!overrides.applyOverride(kv))
-            fatal("malformed --set argument (need key=value)");
-    }
-    applyOverrides(cfg, overrides);
+    for (const std::string &kv : cli.strs("--set"))
+        applyConfigAssignment(cfg, kv);
 
     if (dumpConfigIfRequested(cli, cfg))
         return 0;
