@@ -8,8 +8,8 @@
  * replacement: a small POD naming *what* should happen when a memory
  * event completes, interpreted by a dispatcher the owning System
  * installs at construction. Because the token carries data only, it
- * round-trips through an Archive, and a restored simulation rebinds
- * behaviour simply by constructing the same dispatcher again.
+ * round-trips through an Archive, and a restored simulation gets its
+ * behaviour back simply by constructing the same dispatcher again.
  */
 
 #ifndef DASDRAM_COMMON_CONTINUATION_HH

@@ -13,6 +13,7 @@ DasManager::DasManager(DramSystem &dram, CacheHierarchy *caches,
     : dram_(&dram), caches_(caches), layout_(&layout), cfg_(cfg),
       statGroup_("dasManager")
 {
+    dram.setCompletionSink(this);
     table_ = std::make_unique<TranslationTable>(layout);
     if (cfg.mode == ManagementMode::Dynamic && !cfg.exclusiveCache)
         incl_ = std::make_unique<InclusiveDirectory>(layout);
@@ -196,9 +197,6 @@ DasManager::access(Addr addr, bool is_write, int core, Continuation cont,
             ts.submitTick = now;
         }
     }
-    req->onComplete = [this](MemRequest &treq, Cycle at) {
-        onWalkComplete(treq, at);
-    };
     dram_->submit(std::move(req), now);
 }
 
@@ -251,10 +249,22 @@ DasManager::submitReady(PendingAccess &&acc, Cycle now)
     if (req->span)
         req->span->submitTick = now;
     req->cont = acc.cont;
-    req->onComplete = [this](MemRequest &r, Cycle at) {
-        onDataComplete(r, at);
-    };
     dram_->submit(std::move(req), now);
+}
+
+void
+DasManager::onRequestDone(MemRequest &req, Cycle at)
+{
+    if (req.isTableAccess)
+        onWalkComplete(req, at);
+    else
+        onDataComplete(req, at);
+}
+
+void
+DasManager::onMigrationDone(const MigrationJob &job, Cycle)
+{
+    swapsInFlight_.erase(job.group); // no-op for kNoGroup
 }
 
 void
@@ -358,11 +368,7 @@ DasManager::maybePromote(GlobalRowId logical, Cycle now)
         layout_->groupBaseRow(layout_->groupOf(a.row));
     dram_->startMigration(a.channel, a.rank, a.bank, a.row, b.row,
                           /*full_swap=*/true, row_lo,
-                          row_lo + layout_->groupSize(),
-                          [this, group](Cycle) {
-                              swapsInFlight_.erase(group);
-                          },
-                          group);
+                          row_lo + layout_->groupSize(), group);
 }
 
 void
@@ -415,11 +421,7 @@ DasManager::maybePromoteInclusive(GlobalRowId logical, Cycle now)
     // Dirty victim: write the victim back first — cost of a full swap.
     dram_->startMigration(a.channel, a.rank, a.bank, a.row, b.row,
                           /*full_swap=*/dirty_victim, row_lo,
-                          row_lo + layout_->groupSize(),
-                          [this, group](Cycle) {
-                              swapsInFlight_.erase(group);
-                          },
-                          group);
+                          row_lo + layout_->groupSize(), group);
 }
 
 void
@@ -533,28 +535,6 @@ DasManager::serdeState(Archive &ar)
     serde_u64_set(swapsInFlight_);
     serde_u64_set(touchedRows_);
     ar.end();
-}
-
-void
-DasManager::rebindInFlight()
-{
-    dram_->rebindRequests(
-        [this](const MemRequest &req) -> MemRequest::Callback {
-            if (req.isTableAccess)
-                return [this](MemRequest &r, Cycle at) {
-                    onWalkComplete(r, at);
-                };
-            return [this](MemRequest &r, Cycle at) {
-                onDataComplete(r, at);
-            };
-        });
-    dram_->rebindMigrations(
-        [this](const MigrationJob &job) -> std::function<void(Cycle)> {
-            if (job.group == MigrationJob::kNoGroup)
-                return nullptr;
-            const std::uint64_t group = job.group;
-            return [this, group](Cycle) { swapsInFlight_.erase(group); };
-        });
 }
 
 } // namespace dasdram

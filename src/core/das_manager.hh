@@ -84,9 +84,12 @@ struct LocationStats
 };
 
 /**
- * Memory-side manager between the LLC and the DRAM system.
+ * Memory-side manager between the LLC and the DRAM system. It is the
+ * DRAM system's completion sink, installed at construction: finished
+ * table walks, data accesses and swaps dispatch on the data the
+ * request or job carries.
  */
-class DasManager
+class DasManager : private CompletionSink
 {
   public:
     /**
@@ -99,11 +102,16 @@ class DasManager
         std::function<void(const Continuation &, Cycle)>;
 
     /**
+     * @param dram must outlive the manager; the manager installs
+     *        itself as its completion sink.
      * @param caches may be null only when mode != Dynamic (table walks
      *        need the LLC).
      */
     DasManager(DramSystem &dram, CacheHierarchy *caches,
                const AsymmetricLayout &layout, const DasConfig &cfg);
+
+    DasManager(const DasManager &) = delete;
+    DasManager &operator=(const DasManager &) = delete;
 
     /**
      * Issue a memory access for line @p addr. When the access
@@ -181,15 +189,6 @@ class DasManager
      * serdeTree pass.
      */
     void serdeState(Archive &ar);
-
-    /**
-     * Reinstall completion callbacks on every request and migration
-     * the DRAM system still owns after a restore: table walks resume
-     * through onWalkComplete, data requests through onDataComplete
-     * (delivering their serialised Continuation to the hook), and
-     * tagged migration jobs re-arm their swap-group release.
-     */
-    void rebindInFlight();
     /// @}
 
   private:
@@ -225,13 +224,13 @@ class DasManager
         }
     };
 
-    /** Perform translation timing; returns extra delay in ticks, or
-     *  defers the access (returns kCycleMax) when a DRAM table read is
-     *  needed. */
-    Cycle translationDelay(const PendingAccess &acc, Cycle now);
-
     void submitReady(PendingAccess &&acc, Cycle now);
     void trySubmit(PendingAccess &&acc, Cycle now);
+
+    /** DRAM completion sink: table walks to onWalkComplete, everything
+     *  else to onDataComplete; a finished swap frees its group. */
+    void onRequestDone(MemRequest &req, Cycle at) override;
+    void onMigrationDone(const MigrationJob &job, Cycle at) override;
 
     /** Completion of a demand/writeback data request: location
      *  accounting, promotion policy, then the continuation hook. */

@@ -1,6 +1,7 @@
 #include "controller.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/log.hh"
 #include "mem/request_trace.hh"
@@ -259,8 +260,8 @@ ChannelController::retireCompletions(Cycle now)
             activeMigrations_[i] = std::move(activeMigrations_.back());
             activeMigrations_.pop_back();
             migrationsDone_.inc();
-            if (job.onDone)
-                job.onDone(at);
+            if (doneSink_)
+                doneSink_->onMigrationDone(job, at);
         } else {
             ++i;
         }
@@ -306,8 +307,8 @@ ChannelController::finish(std::unique_ptr<MemRequest> req, Cycle at,
         if (spanSink_)
             spanSink_->onSpan(s);
     }
-    if (req->onComplete)
-        req->onComplete(*req, at);
+    if (doneSink_)
+        doneSink_->onRequestDone(*req, at);
 }
 
 bool
@@ -1027,28 +1028,6 @@ ChannelController::serdeState(Archive &ar)
         queueBlockedMin_ = kCycleMax;
         preMinReady_ = kCycleMax;
     }
-}
-
-void
-ChannelController::forEachRequest(
-    const std::function<void(MemRequest &)> &fn)
-{
-    for (auto &req : readQueue_)
-        fn(*req);
-    for (auto &req : writeQueue_)
-        fn(*req);
-    for (auto &req : inflight_)
-        fn(*req);
-}
-
-void
-ChannelController::forEachMigration(
-    const std::function<void(MigrationJob &)> &fn)
-{
-    for (MigrationJob &job : migrations_)
-        fn(job);
-    for (auto &m : activeMigrations_)
-        fn(m.second);
 }
 
 } // namespace dasdram

@@ -11,7 +11,6 @@
 #define DASDRAM_DRAM_CONTROLLER_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -107,15 +106,12 @@ struct MigrationJob
     std::uint64_t id = 0;
     /**
      * Serialisable owner-side identity (the DAS migration-group id),
-     * kNoGroup for untagged jobs. What a restored owner uses to
-     * reconstruct onDone via DramSystem::rebindMigrations().
+     * kNoGroup for untagged jobs. The completion sink dispatches on
+     * it, so a restored job needs nothing beyond its data fields.
      */
     std::uint64_t group = kNoGroup;
-    /** Called at completion with the finish cycle. */
-    std::function<void(Cycle)> onDone;
 
-    /** Checkpoint all data fields; onDone is left null on load (the
-     *  owner rebinds it from @c group). */
+    /** Checkpoint all data fields. */
     void
     serdeState(Archive &ar)
     {
@@ -130,6 +126,24 @@ struct MigrationJob
         ar.io(id);
         ar.io(group);
     }
+};
+
+/**
+ * Receives finished requests and migration jobs, synchronously, in
+ * completion order. The owner installs one sink once; a request or job
+ * carries only data (isTableAccess, cont, group), so the sink
+ * dispatches on that and a restored simulation needs no rebind step.
+ * @p at is in the installer's clock domain: memory cycles from a
+ * ChannelController, global ticks from a DramSystem.
+ */
+class CompletionSink
+{
+  public:
+    virtual ~CompletionSink() = default;
+
+    /** @p req is destroyed right after the call returns. */
+    virtual void onRequestDone(MemRequest &req, Cycle at) = 0;
+    virtual void onMigrationDone(const MigrationJob &job, Cycle at) = 0;
 };
 
 /**
@@ -151,9 +165,9 @@ class ChannelController
 
     /**
      * Hand a request to the controller. @pre canAccept(req->isWrite).
-     * The controller takes ownership; onComplete fires when the data
-     * burst finishes (reads) or the WR command issues (writes), then
-     * the request is destroyed.
+     * The controller takes ownership; the completion sink receives it
+     * when the data burst finishes (reads) or the WR command issues
+     * (writes), then the request is destroyed.
      */
     void enqueue(std::unique_ptr<MemRequest> req, Cycle now);
 
@@ -166,8 +180,12 @@ class ChannelController
     /** Queue a migration/swap job. Jobs run FIFO per bank. */
     void addMigration(MigrationJob job);
 
-    /** Number of migration jobs not yet completed. */
-    std::size_t pendingMigrations() const { return migrations_.size(); }
+    /** Number of migration jobs not yet completed (queued or running). */
+    std::size_t
+    pendingMigrations() const
+    {
+        return migrations_.size() + activeMigrations_.size();
+    }
 
     /** Advance to cycle @p now: retire completions, issue ≤1 command. */
     void tick(Cycle now);
@@ -198,6 +216,10 @@ class ChannelController
 
     /** Attach (or detach with nullptr) the completed-span observer. */
     void setSpanSink(RequestTraceSink *sink) { spanSink_ = sink; }
+
+    /** Attach (or detach with nullptr) the completion receiver; times
+     *  are memory cycles. Null drops completions. */
+    void setCompletionSink(CompletionSink *sink) { doneSink_ = sink; }
 
     /// @name Introspection & statistics
     /// @{
@@ -233,18 +255,10 @@ class ChannelController
      * reads, the completion heap (raw array, preserving exact
      * tie-break pop order), migrations and bus/scheduler bookkeeping.
      * Stats are not stored here — they ride the owner's StatGroup
-     * serdeTree pass. On load every request's onComplete and every
-     * job's onDone is null until the owner rebinds them.
+     * serdeTree pass. Sink wiring is not stored either: restored work
+     * completes to whatever sink the owner installed at construction.
      */
     void serdeState(Archive &ar);
-
-    /** Visit every owned request (queued and in-flight) — the rebind
-     *  hook a restored owner uses to reinstall onComplete. */
-    void forEachRequest(const std::function<void(MemRequest &)> &fn);
-
-    /** Visit every migration job (pending and active) — the rebind
-     *  hook a restored owner uses to reinstall onDone. */
-    void forEachMigration(const std::function<void(MigrationJob &)> &fn);
     /// @}
 
   private:
@@ -258,7 +272,7 @@ class ChannelController
     Bank &bankOf(const MemRequest &r);
     const Bank &bankOf(const MemRequest &r) const;
 
-    /** Run completion callbacks due at or before @p now. */
+    /** Report completions due at or before @p now to the sink. */
     void retireCompletions(Cycle now);
 
     /** Returns true if a command was issued (consumes the cmd bus). */
@@ -328,7 +342,7 @@ class ChannelController
      */
     void refreshHorizonCaches(Cycle now) const;
 
-    /** Fire callback and destroy @p req (ownership in @p owner). */
+    /** Record stats, report @p req to the sink, then destroy it. */
     void finish(std::unique_ptr<MemRequest> req, Cycle at,
                 ServiceLocation fallback_loc);
 
@@ -380,10 +394,11 @@ class ChannelController
 
     CommandSink *sink_ = nullptr;
     RequestTraceSink *spanSink_ = nullptr;
+    CompletionSink *doneSink_ = nullptr;
     std::uint64_t nextMigrationId_ = 1;
 
     std::deque<MigrationJob> migrations_;
-    /** Migration completion events: (cycle, index into migrations_). */
+    /** Running migrations: (finish cycle, job). */
     std::vector<std::pair<Cycle, MigrationJob>> activeMigrations_;
 
     /** Channel data-bus bookkeeping. */

@@ -18,6 +18,7 @@ DramSystem::DramSystem(const DramGeometry &geom, const DramTiming &timing,
     for (unsigned c = 0; c < geom.channels; ++c) {
         channels_.push_back(std::make_unique<ChannelController>(
             c, geom, timing_, classifier, ctrl_cfg));
+        channels_.back()->setCompletionSink(this);
         statGroup_.addChild(&channels_.back()->stats());
     }
     statGroup_.addCounter("forwardedReads", &forwardedReads_,
@@ -35,16 +36,6 @@ DramSystem::submit(std::unique_ptr<MemRequest> req, Cycle now_tick)
 {
     const Cycle mem_now = now_tick / kMemTick;
     ChannelController &ch = *channels_[req->loc.channel];
-
-    // Completion callbacks cross the clock-domain boundary here: the
-    // controller reports memory cycles; consumers expect ticks.
-    if (req->onComplete) {
-        auto user = std::move(req->onComplete);
-        req->onComplete = [user = std::move(user)](MemRequest &r,
-                                                   Cycle mem_at) {
-            user(r, mem_at * kMemTick);
-        };
-    }
 
     if (!req->isWrite && ch.writeQueued(req->addr)) {
         // Read-after-write forwarding from the write queue: the data is
@@ -75,8 +66,7 @@ DramSystem::submit(std::unique_ptr<MemRequest> req, Cycle now_tick)
             if (spanSink_)
                 spanSink_->onSpan(s);
         }
-        if (req->onComplete)
-            req->onComplete(*req, done);
+        onRequestDone(*req, done);
         return;
     }
 
@@ -87,9 +77,7 @@ void
 DramSystem::startMigration(unsigned channel, unsigned rank, unsigned bank,
                            std::uint64_t row_a, std::uint64_t row_b,
                            bool full_swap, std::uint64_t row_lo,
-                           std::uint64_t row_hi,
-                           std::function<void(Cycle)> on_done,
-                           std::uint64_t group)
+                           std::uint64_t row_hi, std::uint64_t group)
 {
     MigrationJob job;
     job.rank = rank;
@@ -100,11 +88,21 @@ DramSystem::startMigration(unsigned channel, unsigned rank, unsigned bank,
     job.rowLo = row_lo;
     job.rowHi = row_hi;
     job.group = group;
-    job.onDone = [cb = std::move(on_done)](Cycle mem_at) {
-        if (cb)
-            cb(mem_at * kMemTick);
-    };
     channels_[channel]->addMigration(std::move(job));
+}
+
+void
+DramSystem::onRequestDone(MemRequest &req, Cycle mem_at)
+{
+    if (doneSink_)
+        doneSink_->onRequestDone(req, mem_at * kMemTick);
+}
+
+void
+DramSystem::onMigrationDone(const MigrationJob &job, Cycle mem_at)
+{
+    if (doneSink_)
+        doneSink_->onMigrationDone(job, mem_at * kMemTick);
 }
 
 void
@@ -116,42 +114,6 @@ DramSystem::serdeState(Archive &ar)
     for (const auto &ch : channels_)
         ch->serdeState(ar);
     ar.end();
-}
-
-void
-DramSystem::rebindRequests(
-    const std::function<MemRequest::Callback(const MemRequest &)> &binder)
-{
-    for (const auto &ch : channels_) {
-        ch->forEachRequest([&](MemRequest &req) {
-            MemRequest::Callback user = binder(req);
-            if (!user) {
-                req.onComplete = nullptr;
-                return;
-            }
-            // Same tick-domain wrap submit() applies to live requests.
-            req.onComplete = [user = std::move(user)](MemRequest &r,
-                                                      Cycle mem_at) {
-                user(r, mem_at * kMemTick);
-            };
-        });
-    }
-}
-
-void
-DramSystem::rebindMigrations(
-    const std::function<std::function<void(Cycle)>(const MigrationJob &)>
-        &binder)
-{
-    for (const auto &ch : channels_) {
-        ch->forEachMigration([&](MigrationJob &job) {
-            auto cb = binder(job);
-            job.onDone = [cb = std::move(cb)](Cycle mem_at) {
-                if (cb)
-                    cb(mem_at * kMemTick);
-            };
-        });
-    }
 }
 
 void

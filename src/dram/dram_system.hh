@@ -9,7 +9,6 @@
 #define DASDRAM_DRAM_DRAM_SYSTEM_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -27,9 +26,11 @@ namespace dasdram
 /**
  * The full memory system below the last-level cache. All public times
  * are in global simulation ticks (1/12 ns); internal controller state
- * runs in memory-bus cycles.
+ * runs in memory-bus cycles. The system is every channel's completion
+ * sink: it converts their memory cycles to ticks, in one place, and
+ * forwards to the owner's sink.
  */
-class DramSystem
+class DramSystem : private CompletionSink
 {
   public:
     /**
@@ -55,9 +56,10 @@ class DramSystem
     /**
      * Submit a request whose loc is already decoded (and translated).
      * @pre canAccept(req->loc, req->isWrite).
-     * onComplete fires with the completion time in ticks. Reads that hit
-     * the channel write queue are forwarded and complete quickly without
-     * occupying DRAM banks.
+     * The completion sink receives it with the completion time in
+     * ticks. Reads that hit the channel write queue are forwarded and
+     * complete quickly without occupying DRAM banks; they reach the
+     * sink before submit() returns.
      */
     void submit(std::unique_ptr<MemRequest> req, Cycle now_tick);
     /// @}
@@ -66,18 +68,24 @@ class DramSystem
      * Queue a row swap (promotion) or single migration in the bank that
      * owns the two rows. Rows [row_lo, row_hi) — the affected
      * subarrays / migration group — are blocked while it runs; pass
-     * row_lo == row_hi to block just the two rows. @p on_done fires
-     * with the finish tick. @p group is the caller's serialisable
-     * identity for the job (MigrationJob::kNoGroup when it has none):
-     * after a snapshot restore, rebindMigrations() hands it back so
-     * the owner can reconstruct on_done.
+     * row_lo == row_hi to block just the two rows. The completion sink
+     * receives the job with the finish tick. @p group is the caller's
+     * serialisable identity for the job (MigrationJob::kNoGroup when
+     * it has none), for the sink to dispatch on.
      */
     void startMigration(unsigned channel, unsigned rank, unsigned bank,
                         std::uint64_t row_a, std::uint64_t row_b,
                         bool full_swap, std::uint64_t row_lo,
                         std::uint64_t row_hi,
-                        std::function<void(Cycle)> on_done,
                         std::uint64_t group = MigrationJob::kNoGroup);
+
+    /**
+     * Install the owner's completion receiver (times in ticks);
+     * nullptr drops completions. Must outlive the system or be
+     * detached first. Not checkpointed: a restored system completes
+     * in-flight work to the sink installed on it.
+     */
+    void setCompletionSink(CompletionSink *sink) { doneSink_ = sink; }
 
     /**
      * Attach a command observer (protocol checker / trace writer) to
@@ -137,36 +145,20 @@ class DramSystem
     /** Checkpoint the memory clock and every channel (sink wiring is
      *  reconstructed, not stored). */
     void serdeState(Archive &ar);
-
-    /**
-     * Reinstall completion callbacks on every owned request after a
-     * restore. @p binder maps a request (via its serialised
-     * Continuation) to a tick-domain callback (or null); each one is
-     * re-wrapped into the controller's memory-cycle domain exactly as
-     * submit() wraps live callbacks.
-     */
-    void rebindRequests(
-        const std::function<MemRequest::Callback(const MemRequest &)>
-            &binder);
-
-    /**
-     * Reinstall onDone on every pending/active migration job after a
-     * restore. @p binder maps a job (via its serialised group tag) to
-     * a tick-domain callback (or null); wrapped like startMigration()
-     * wraps live callbacks.
-     */
-    void rebindMigrations(
-        const std::function<std::function<void(Cycle)>(
-            const MigrationJob &)> &binder);
     /// @}
 
   private:
+    /// Channel completions (memory cycles) → owner's sink (ticks).
+    void onRequestDone(MemRequest &req, Cycle mem_at) override;
+    void onMigrationDone(const MigrationJob &job, Cycle mem_at) override;
+
     DramTiming timing_;
     AddressMapper mapper_;
     std::vector<std::unique_ptr<ChannelController>> channels_;
     Cycle lastMemCycle_ = 0;
 
     RequestTraceSink *spanSink_ = nullptr; ///< request-span sink
+    CompletionSink *doneSink_ = nullptr;   ///< owner's, tick domain
 
     StatGroup statGroup_;
     Counter forwardedReads_;

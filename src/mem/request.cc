@@ -51,7 +51,6 @@ MemRequest::serdeState(Archive &ar)
         // themselves restored, but recomputation is cheap and keeps
         // the invariant trivially true.
         sched = SchedCache{};
-        onComplete = nullptr;
     }
 }
 

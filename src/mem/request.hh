@@ -8,7 +8,6 @@
 #define DASDRAM_MEM_REQUEST_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common/continuation.hh"
@@ -34,14 +33,11 @@ const char *toString(ServiceLocation loc);
 
 /**
  * A memory-controller-level request (one cache line). Created on LLC
- * misses and LLC writebacks; freed by the DRAM system after the
- * completion callback runs.
+ * misses and LLC writebacks; freed by the DRAM system after its
+ * owner's completion sink has seen it (dram/controller.hh).
  */
 struct MemRequest
 {
-    /** Request completion callback: (request, completion tick). */
-    using Callback = std::function<void(MemRequest &, Cycle)>;
-
     std::uint64_t id = 0;        ///< unique, assigned by the system
     Addr addr = kAddrInvalid;    ///< physical byte address (line aligned)
     bool isWrite = false;
@@ -100,20 +96,16 @@ struct MemRequest
     std::unique_ptr<RequestSpan> span;
 
     /**
-     * Serialisable identity of this request's completion action. The
-     * runtime behaviour lives in onComplete; the token is what a
-     * checkpoint stores, and what DramSystem::rebindRequests() feeds
-     * back to the owner to reconstruct onComplete after a restore.
+     * Serialisable identity of this request's completion action,
+     * interpreted by the owner's completion sink. Being plain data, it
+     * survives a checkpoint like every other field.
      */
     Continuation cont;
-
-    Callback onComplete;
 
     /**
      * Checkpoint every data field (the span inline when present, with
      * arrival/ready times and DRAM coordinates). The scheduling cache
-     * is reset to invalid on load and onComplete is left null — the
-     * owner rebinds it from @c cont via DramSystem::rebindRequests().
+     * is reset to invalid on load.
      */
     void serdeState(Archive &ar);
 

@@ -62,6 +62,24 @@ class CountingSpanSink : public RequestTraceSink
     std::uint64_t count_ = 0;
 };
 
+/** The harness's completion sink: counts finished requests and
+ *  migrations into the report. Installed on every (re)built DRAM
+ *  system, so a restored run needs nothing rebound. */
+class ReportSink : public CompletionSink
+{
+  public:
+    explicit ReportSink(FuzzReport &rep) : rep_(rep) {}
+    void onRequestDone(MemRequest &, Cycle) override { ++rep_.completed; }
+    void
+    onMigrationDone(const MigrationJob &, Cycle) override
+    {
+        ++rep_.migrationsDone;
+    }
+
+  private:
+    FuzzReport &rep_;
+};
+
 /** parseDesign()-compatible short name, safe for --filter replay. */
 const char *
 shortDesignName(DesignKind kind)
@@ -107,9 +125,15 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
     fanout->addSink(checker.get());
     fanout->addSink(extra_sink);
 
+    FuzzReport rep;
+    rep.name = c.name;
+    rep.seed = c.seed;
+    ReportSink done_sink(rep);
+
     auto dram = std::make_unique<DramSystem>(c.geom, dut, cls, c.ctrl,
                                              c.mapping);
     dram->setCommandSink(fanout.get());
+    dram->setCompletionSink(&done_sink);
 
     // Request-span tracing under fuzz traffic: every created request
     // draws a sampling decision (before the canAccept bail-out, so the
@@ -119,10 +143,6 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
     CountingSpanSink span_sink;
     if (c.traceRequests > 0.0)
         dram->setRequestTraceSink(&span_sink);
-
-    FuzzReport rep;
-    rep.name = c.name;
-    rep.seed = c.seed;
 
     Rng rng(c.seed);
     const std::uint64_t columns = c.geom.rowBytes / c.geom.lineBytes;
@@ -156,7 +176,13 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
         1, std::min<std::uint64_t>(c.rowSpread / group_size,
                                    layout.groupsPerBank()));
 
-    std::uint64_t pending_migrations = 0;
+    // Jobs queued or running, summed over channels.
+    auto pending_migrations = [&dram] {
+        std::size_t n = 0;
+        for (unsigned ch = 0; ch < dram->numChannels(); ++ch)
+            n += dram->channel(ch).pendingMigrations();
+        return n;
+    };
     std::uint64_t next_req_id = 1;
 
     // Generous budget: a stuck controller fails the case as !drained
@@ -198,6 +224,7 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
             fanout->addSink(checker.get());
             fanout->addSink(extra_sink);
             dram->setCommandSink(fanout.get());
+            dram->setCompletionSink(&done_sink);
             if (c.traceRequests > 0.0)
                 dram->setRequestTraceSink(&span_sink);
 
@@ -209,18 +236,6 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
             dram->serdeState(loader);
             checker->serdeState(loader);
             loader.finish();
-            // The harness owns every in-flight callback: reinstall
-            // them uniformly (see DramSystem::rebind*).
-            dram->rebindRequests([&rep](const MemRequest &) {
-                return [&rep](MemRequest &, Cycle) { ++rep.completed; };
-            });
-            dram->rebindMigrations(
-                [&rep, &pending_migrations](const MigrationJob &) {
-                    return [&rep, &pending_migrations](Cycle) {
-                        ++rep.migrationsDone;
-                        --pending_migrations;
-                    };
-                });
             next_wake_mem = 0; // re-probe the horizon next iteration
         }
         bool injected = false;
@@ -250,9 +265,6 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
                 req->loc.column = rng.nextBelow(columns);
                 req->addr = dram->mapper().encode(req->loc);
             }
-            req->onComplete = [&rep](MemRequest &, Cycle) {
-                ++rep.completed;
-            };
             if (c.traceRequests > 0.0) {
                 req->span = tracer.maybeStart();
                 if (req->span) {
@@ -275,7 +287,7 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
         }
 
         // Inject migration/swap jobs against the same row region.
-        if (c.migrationChance > 0.0 && pending_migrations < 16 &&
+        if (c.migrationChance > 0.0 && pending_migrations() < 16 &&
             rng.chance(c.migrationChance)) {
             unsigned ch = static_cast<unsigned>(
                 rng.nextBelow(c.geom.channels));
@@ -290,16 +302,11 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
                 base + fast_slots +
                 rng.nextBelow(group_size - fast_slots);
             bool full_swap = rng.chance(0.7);
-            ++pending_migrations;
             ++rep.migrationsStarted;
             if (event)
                 dram->tick(now_tick); // catch up; no-op when current
             dram->startMigration(ch, ra, ba, row_a, row_b, full_swap,
-                                base, base + group_size,
-                                [&rep, &pending_migrations](Cycle) {
-                                    ++rep.migrationsDone;
-                                    --pending_migrations;
-                                });
+                                base, base + group_size);
             injected = true;
         }
 

@@ -71,11 +71,12 @@ struct FuzzCase
     /**
      * When > 0: at this memory cycle the run serializes the DRAM
      * system and the protocol checker through the snapshot codec,
-     * destroys them, rebuilds fresh instances, restores and rebinds
-     * the in-flight callbacks — then continues. A checkpoint round
-     * trip must be invisible: the report and the complete command
-     * trace must match a straight run byte for byte, which is exactly
-     * what the differential mode's checkpoint crossing enforces.
+     * destroys them, rebuilds fresh instances (with the harness's
+     * completion sink installed on the new DRAM system) and restores
+     * — then continues. A checkpoint round trip must be invisible:
+     * the report and the complete command trace must match a straight
+     * run byte for byte, which is exactly what the differential
+     * mode's checkpoint crossing enforces.
      */
     Cycle checkpointAtCycle = 0;
 

@@ -120,8 +120,8 @@ System::System(const SimConfig &cfg, std::vector<TraceSource *> traces)
 
     // Both asynchronous completion paths — MSHR waiters and DAS
     // demand/walk completions — deliver serialisable Continuation
-    // tokens to the one interpreter, so a restored snapshot resumes
-    // in-flight work by reinstalling these two hooks.
+    // tokens to the one interpreter. The hooks are installed once,
+    // here, so a restored snapshot resumes in-flight work as is.
     mshrs_->setDispatcher(
         [this](const Continuation &cont, Addr, Cycle t) {
             dispatchContinuation(cont, t);
@@ -730,9 +730,6 @@ System::loadSnapshot(const std::string &path)
     }
     serdeState(ar);
     ar.finish();
-    // Reinstall the completion callbacks of requests and migrations
-    // still in flight inside the DRAM system.
-    das_->rebindInFlight();
 }
 
 void

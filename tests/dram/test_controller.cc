@@ -16,29 +16,40 @@ using namespace dasdram;
 namespace
 {
 
-struct ControllerHarness
+/** Drives one controller and is its completion sink. */
+struct ControllerHarness : CompletionSink
 {
     ControllerHarness(ControllerConfig cfg = {},
                       RowClass cls = RowClass::Slow)
         : geom(), timing(ddr3_1600Timing()), classifier(cls),
           ctrl(0, geom, timing, classifier, cfg)
     {
+        ctrl.setCompletionSink(this);
     }
 
-    /** Submit a request; records completion time into done. */
+    /** Submit a request; its id indexes its entry in completions. */
     void
     submit(std::uint64_t row, std::uint64_t col, bool write, Cycle now,
            unsigned rank = 0, unsigned bank = 0)
     {
         auto req = std::make_unique<MemRequest>(0, write, 0);
+        req->id = completions.size();
         req->loc = DramLoc{0, rank, bank, row, col};
         req->addr = (row * 1000 + col) * 64; // unique-ish line id
         completions.emplace_back(kCycleMax, ServiceLocation::Unknown);
-        std::size_t idx = completions.size() - 1;
-        req->onComplete = [this, idx](MemRequest &r, Cycle at) {
-            completions[idx] = {at, r.location};
-        };
         ctrl.enqueue(std::move(req), now);
+    }
+
+    void
+    onRequestDone(MemRequest &r, Cycle at) override
+    {
+        completions[r.id] = {at, r.location};
+    }
+
+    void
+    onMigrationDone(const MigrationJob &, Cycle at) override
+    {
+        jobDoneAt = at;
     }
 
     /** Tick up to and including @p until. */
@@ -69,6 +80,7 @@ struct ControllerHarness
     UniformRowClassifier classifier;
     ChannelController ctrl;
     std::vector<std::pair<Cycle, ServiceLocation>> completions;
+    Cycle jobDoneAt = 0;
     Cycle now = 0;
 };
 
@@ -191,7 +203,6 @@ TEST(Controller, RefreshDisabledByConfig)
 TEST(Controller, MigrationCompletesAndReportsCycle)
 {
     ControllerHarness h;
-    Cycle done_at = 0;
     MigrationJob job;
     job.rank = 0;
     job.bank = 0;
@@ -199,12 +210,17 @@ TEST(Controller, MigrationCompletesAndReportsCycle)
     job.rowB = 20;
     job.rowLo = 0;
     job.rowHi = 32;
-    job.onDone = [&](Cycle at) { done_at = at; };
     h.ctrl.addMigration(std::move(job));
     EXPECT_EQ(h.ctrl.pendingMigrations(), 1u);
+    // Started (the bank is reserved) but not finished: still pending.
+    h.runTo(5);
+    ASSERT_TRUE(h.ctrl.rank(0).bank(0).reserved(h.now));
+    EXPECT_EQ(h.jobDoneAt, 0u);
+    EXPECT_EQ(h.ctrl.pendingMigrations(), 1u);
     h.drain();
-    EXPECT_GT(done_at, 0u);
-    EXPECT_GE(done_at, h.timing.swapCycles);
+    EXPECT_EQ(h.ctrl.pendingMigrations(), 0u);
+    EXPECT_GT(h.jobDoneAt, 0u);
+    EXPECT_GE(h.jobDoneAt, h.timing.swapCycles);
     EXPECT_EQ(h.ctrl.migrationCount(), 1u);
 }
 
@@ -243,12 +259,10 @@ TEST(Controller, MigrationDefersToPendingGroupRequests)
     job.rowB = 4;
     job.rowLo = 0;
     job.rowHi = 32;
-    Cycle done_at = 0;
-    job.onDone = [&](Cycle at) { done_at = at; };
     h.ctrl.addMigration(std::move(job));
     h.drain();
     // The demand read completed before the migration finished.
-    EXPECT_LT(h.completions[0].first, done_at);
+    EXPECT_LT(h.completions[0].first, h.jobDoneAt);
 }
 
 TEST(Controller, FcfsPolicyServesInOrder)

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "completion_recorder.hh"
 #include "dram/cmd_trace.hh"
 #include "dram/dram_system.hh"
 
@@ -23,27 +24,30 @@ struct SystemHarness
         : timing(ddr3_1600Timing()), classifier(RowClass::Slow),
           dram(geom, timing, classifier)
     {
+        dram.setCompletionSink(&done);
     }
 
     Cycle
     readLine(Addr addr, Cycle start = 0)
     {
-        Cycle done = kCycleMax;
+        const std::size_t before = done.requests.size();
         auto req = std::make_unique<MemRequest>(addr, false, 0);
         req->loc = dram.decode(addr);
-        req->onComplete = [&done](MemRequest &, Cycle at) { done = at; };
         dram.submit(std::move(req), start);
-        for (Cycle t = start; t < start + 200000 && done == kCycleMax;
+        for (Cycle t = start;
+             t < start + 200000 && done.requests.size() == before;
              t += kMemTick) {
             dram.tick(t);
         }
-        return done;
+        return done.requests.size() == before ? kCycleMax
+                                              : done.requests.back().at;
     }
 
     DramGeometry geom;
     DramTiming timing;
     UniformRowClassifier classifier;
     DramSystem dram;
+    CompletionRecorder done;
 };
 
 } // namespace
@@ -84,17 +88,13 @@ TEST(DramSystem, WriteForwardingServesReadQuickly)
     wr->loc = h.dram.decode(addr);
     h.dram.submit(std::move(wr), 0);
 
-    Cycle done = kCycleMax;
     auto rd = std::make_unique<MemRequest>(addr, false, 0);
     rd->loc = h.dram.decode(addr);
-    rd->onComplete = [&done](MemRequest &r, Cycle at) {
-        done = at;
-        EXPECT_EQ(r.location, ServiceLocation::RowBuffer);
-    };
     h.dram.submit(std::move(rd), 0);
-    // Forwarded synchronously: done already set without any tick.
-    ASSERT_NE(done, kCycleMax);
-    EXPECT_LE(done / kMemTick,
+    // Forwarded synchronously: completed without any tick.
+    ASSERT_EQ(h.done.requests.size(), 1u);
+    EXPECT_EQ(h.done.requests[0].location, ServiceLocation::RowBuffer);
+    EXPECT_LE(h.done.requests[0].at / kMemTick,
               h.timing.slow.tCL + h.timing.tBL + 1);
 }
 
@@ -132,13 +132,12 @@ TEST(DramSystem, EnergyBreakdownCountsOperations)
 TEST(DramSystem, MigrationApiCompletesInTicks)
 {
     SystemHarness h;
-    Cycle done = 0;
-    h.dram.startMigration(0, 0, 0, 3, 9, true, 0, 32,
-                          [&done](Cycle at) { done = at; });
-    for (Cycle t = 0; t < 100000 && done == 0; t += kMemTick)
+    h.dram.startMigration(0, 0, 0, 3, 9, true, 0, 32);
+    for (Cycle t = 0; t < 100000 && h.done.migrations.empty();
+         t += kMemTick)
         h.dram.tick(t);
-    ASSERT_GT(done, 0u);
-    EXPECT_GE(done / kMemTick, h.timing.swapCycles);
+    ASSERT_EQ(h.done.migrations.size(), 1u);
+    EXPECT_GE(h.done.migrations[0] / kMemTick, h.timing.swapCycles);
 }
 
 TEST(EnergyModel, FastActivationCheaper)
@@ -177,8 +176,9 @@ TEST(DramSystem, CommandStreamIsOrderedByCycleThenChannel)
     DramSystem dram(geom, timing, classifier);
     RecordingCommandSink sink;
     dram.setCommandSink(&sink);
+    CompletionRecorder done;
+    dram.setCompletionSink(&done);
 
-    unsigned completed = 0;
     unsigned submitted = 0;
     Cycle t = 0;
     // A staggered burst across both channels and several banks keeps
@@ -189,9 +189,6 @@ TEST(DramSystem, CommandStreamIsOrderedByCycleThenChannel)
                         ~static_cast<Addr>(63);
             auto req = std::make_unique<MemRequest>(addr, false, 0);
             req->loc = dram.decode(addr);
-            req->onComplete = [&completed](MemRequest &, Cycle) {
-                ++completed;
-            };
             if (!dram.canAccept(req->loc, false))
                 continue;
             dram.submit(std::move(req), t);
@@ -202,12 +199,13 @@ TEST(DramSystem, CommandStreamIsOrderedByCycleThenChannel)
             dram.tick(t);
         }
     }
-    for (unsigned c = 0; c < 20000 && completed < submitted; ++c) {
+    for (unsigned c = 0; c < 20000 && done.requests.size() < submitted;
+         ++c) {
         t += kMemTick;
         dram.tick(t);
     }
     ASSERT_GT(submitted, 0u);
-    ASSERT_EQ(completed, submitted);
+    ASSERT_EQ(done.requests.size(), submitted);
     ASSERT_GT(sink.records.size(), submitted); // ACT+RD at least
 
     for (std::size_t i = 1; i < sink.records.size(); ++i) {

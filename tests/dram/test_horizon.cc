@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/random.hh"
+#include "completion_recorder.hh"
 #include "core/subarray_layout.hh"
 #include "dram/controller.hh"
 
@@ -128,8 +129,7 @@ makeSchedule(std::uint64_t seed, const DramGeometry &geom, unsigned nreqs,
 struct RunResult
 {
     std::string trace;
-    std::vector<std::pair<std::uint64_t, Cycle>> completions;
-    std::vector<Cycle> migsDone;
+    CompletionRecorder done;
     unsigned enqueued = 0;
     unsigned migsInjected = 0;
 };
@@ -150,6 +150,7 @@ runSchedule(const Schedule &sched, const ControllerConfig &cfg,
     ctrl.setCommandSink(&sink);
 
     RunResult res;
+    ctrl.setCompletionSink(&res.done);
     std::size_t ri = 0, mi = 0;
     std::uint64_t next_id = 1;
     Cycle next_wake = 1;
@@ -166,10 +167,6 @@ runSchedule(const Schedule &sched, const ControllerConfig &cfg,
             req->addr = static_cast<Addr>(req->id) * geom.lineBytes;
             req->isWrite = in.isWrite;
             req->loc = in.loc;
-            const std::uint64_t id = req->id;
-            req->onComplete = [&res, id](MemRequest &, Cycle at) {
-                res.completions.emplace_back(id, at);
-            };
             ctrl.enqueue(std::move(req), now);
             ++res.enqueued;
             injected = true;
@@ -184,7 +181,6 @@ runSchedule(const Schedule &sched, const ControllerConfig &cfg,
             job.fullSwap = m.fullSwap;
             job.rowLo = m.rowLo;
             job.rowHi = m.rowHi;
-            job.onDone = [&res](Cycle at) { res.migsDone.push_back(at); };
             ctrl.addMigration(std::move(job));
             ++res.migsInjected;
             injected = true;
@@ -199,12 +195,12 @@ runSchedule(const Schedule &sched, const ControllerConfig &cfg,
             continue;
 
         const std::size_t cmds0 = sink.records.size();
-        const std::size_t comp0 = res.completions.size();
-        const std::size_t migs0 = res.migsDone.size();
+        const std::size_t comp0 = res.done.requests.size();
+        const std::size_t migs0 = res.done.migrations.size();
         ctrl.tick(now);
         const bool activity = sink.records.size() != cmds0 ||
-                              res.completions.size() != comp0 ||
-                              res.migsDone.size() != migs0;
+                              res.done.requests.size() != comp0 ||
+                              res.done.migrations.size() != migs0;
         if (!skip && activity) {
             EXPECT_LE(max_pending, now)
                 << "nextWakeCycle overshot: a horizon claimed nothing "
@@ -290,13 +286,13 @@ TEST_P(HorizonProperty, SkipDrivenRunMatchesPerCycleReference)
     RunResult fast = runSchedule(sched, cfg, cls, geom, timing, true);
 
     EXPECT_GT(ref.enqueued, 0u);
-    EXPECT_EQ(ref.completions.size(), ref.enqueued)
+    EXPECT_EQ(ref.done.requests.size(), ref.enqueued)
         << "reference run did not drain";
-    EXPECT_EQ(ref.migsDone.size(), ref.migsInjected);
+    EXPECT_EQ(ref.done.migrations.size(), ref.migsInjected);
 
     EXPECT_EQ(ref.enqueued, fast.enqueued);
-    EXPECT_EQ(ref.completions, fast.completions);
-    EXPECT_EQ(ref.migsDone, fast.migsDone);
+    EXPECT_EQ(ref.done.requests, fast.done.requests);
+    EXPECT_EQ(ref.done.migrations, fast.done.migrations);
     if (ref.trace != fast.trace) {
         // Readable first-divergence report instead of a full dump.
         std::istringstream a(ref.trace), b(fast.trace);
@@ -337,6 +333,7 @@ struct DirectedHarness
         ctrl = std::make_unique<ChannelController>(
             0, geom, timing, classifier ? *classifier : slowCls, cfg);
         ctrl->setCommandSink(&sink);
+        ctrl->setCompletionSink(&done);
     }
 
     void
@@ -349,10 +346,6 @@ struct DirectedHarness
         req->loc.rank = 0;
         req->loc.bank = bank;
         req->loc.row = row;
-        const std::uint64_t id = req->id;
-        req->onComplete = [this, id](MemRequest &, Cycle at) {
-            completions.emplace_back(id, at);
-        };
         ctrl->enqueue(std::move(req), now);
     }
 
@@ -388,7 +381,7 @@ struct DirectedHarness
     ControllerConfig cfg;
     RecordingSink sink;
     std::unique_ptr<ChannelController> ctrl;
-    std::vector<std::pair<std::uint64_t, Cycle>> completions;
+    CompletionRecorder done;
     std::uint64_t nextId = 1;
 };
 
@@ -417,8 +410,8 @@ TEST(ReadinessCache, ActMovesHorizonToColumnWindow)
     const Cycle done = rd_at + h.timing.slow.tCL + h.timing.tBL;
     EXPECT_EQ(h.ctrl->nextWakeCycle(rd_at), done);
     h.runTo(done, rd_at + 1);
-    ASSERT_EQ(h.completions.size(), 1u);
-    EXPECT_EQ(h.completions[0].second, done);
+    ASSERT_EQ(h.done.requests.size(), 1u);
+    EXPECT_EQ(h.done.requests[0].at, done);
 }
 
 /**
@@ -450,8 +443,8 @@ TEST(ReadinessCache, ConflictPrechargeLadderIsExact)
     EXPECT_EQ(h.cmdCycle(DramCommand::PRE), pre_expect);
     EXPECT_EQ(h.cmdCycle(DramCommand::ACT, 2), act2_expect);
     EXPECT_EQ(h.cmdCycle(DramCommand::RD, 2), rd2_expect);
-    ASSERT_EQ(h.completions.size(), 2u);
-    EXPECT_EQ(h.completions[1].second,
+    ASSERT_EQ(h.done.requests.size(), 2u);
+    EXPECT_EQ(h.done.requests[1].at,
               rd2_expect + h.timing.slow.tCL + h.timing.tBL);
 }
 
@@ -493,8 +486,6 @@ TEST(ReadinessCache, MigrationReservationBlocksAllButExemptRows)
     job.fullSwap = true;
     job.rowLo = 0;
     job.rowHi = 64;
-    Cycle mig_done = 0;
-    job.onDone = [&mig_done](Cycle at) { mig_done = at; };
     h.ctrl->addMigration(std::move(job));
 
     h.ctrl->tick(1);
@@ -513,14 +504,15 @@ TEST(ReadinessCache, MigrationReservationBlocksAllButExemptRows)
     h.runTo(res_end + h.timing.slow.tRC + 2 * h.timing.slow.tRCD +
                 h.timing.slow.tCL + h.timing.tBL,
             4);
-    ASSERT_EQ(h.completions.size(), 2u);
+    ASSERT_EQ(h.done.requests.size(), 2u);
     // The exempt row completed inside the reservation window...
-    EXPECT_EQ(h.completions[0].first, 2u);
-    EXPECT_LT(h.completions[0].second, res_end);
+    EXPECT_EQ(h.done.requests[0].id, 2u);
+    EXPECT_LT(h.done.requests[0].at, res_end);
     // ...the blocked row only after it, and the job finished on time.
-    EXPECT_EQ(h.completions[1].first, 1u);
-    EXPECT_GT(h.completions[1].second, res_end);
-    EXPECT_EQ(mig_done, res_end);
+    EXPECT_EQ(h.done.requests[1].id, 1u);
+    EXPECT_GT(h.done.requests[1].at, res_end);
+    ASSERT_EQ(h.done.migrations.size(), 1u);
+    EXPECT_EQ(h.done.migrations[0], res_end);
 }
 
 /**

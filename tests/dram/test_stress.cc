@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "common/random.hh"
+#include "completion_recorder.hh"
 #include "core/subarray_layout.hh"
 #include "dram/dram_system.hh"
 
@@ -43,11 +44,11 @@ TEST_P(DramStress, AllRequestsCompleteWithoutProtocolViolations)
     DramTiming timing = ddr3_1600Timing();
     AsymmetricLayout layout(geom, {});
     DramSystem dram(geom, timing, layout);
+    CompletionRecorder done;
+    dram.setCompletionSink(&done);
     Rng rng(p.seed);
 
-    unsigned completed = 0;
     unsigned submitted = 0;
-    unsigned migrations_done = 0;
     unsigned migrations_started = 0;
     Cycle now = 0;
 
@@ -66,9 +67,6 @@ TEST_P(DramStress, AllRequestsCompleteWithoutProtocolViolations)
             auto req = std::make_unique<MemRequest>(
                 dram.mapper().encode(loc), write, 0);
             req->loc = loc;
-            req->onComplete = [&completed](MemRequest &, Cycle) {
-                ++completed;
-            };
             dram.submit(std::move(req), now);
             ++submitted;
         }
@@ -83,8 +81,7 @@ TEST_P(DramStress, AllRequestsCompleteWithoutProtocolViolations)
                     rng.nextBelow(geom.ranksPerChannel)),
                 static_cast<unsigned>(rng.nextBelow(p.bankSpread)),
                 lo + rng.nextBelow(32), lo + rng.nextBelow(4), true, lo,
-                lo + 32,
-                [&migrations_done](Cycle) { ++migrations_done; });
+                lo + 32);
         }
         now += kMemTick * (1 + rng.nextBelow(3));
         dram.tick(now);
@@ -92,20 +89,20 @@ TEST_P(DramStress, AllRequestsCompleteWithoutProtocolViolations)
 
     // Drain.
     Cycle deadline = now + 4'000'000;
-    while ((completed < submitted ||
-            migrations_done < migrations_started) &&
+    while ((done.requests.size() < submitted ||
+            done.migrations.size() < migrations_started) &&
            now < deadline) {
         now += kMemTick;
         dram.tick(now);
     }
-    EXPECT_EQ(completed, submitted);
-    EXPECT_EQ(migrations_done, migrations_started);
+    EXPECT_EQ(done.requests.size(), submitted);
+    EXPECT_EQ(done.migrations.size(), migrations_started);
     EXPECT_FALSE(dram.busy());
 
     // Sanity on the operation counts.
     EnergyBreakdown e = dram.energyBreakdown();
     EXPECT_EQ(e.reads + e.writes, submitted);
-    EXPECT_EQ(e.swaps, migrations_done);
+    EXPECT_EQ(e.swaps, done.migrations.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -128,8 +125,9 @@ TEST(DramStressRefresh, LongIdleWithPeriodicTrafficRefreshes)
     DramTiming timing = ddr3_1600Timing();
     UniformRowClassifier cls(RowClass::Slow);
     DramSystem dram(geom, timing, cls);
+    CompletionRecorder done;
+    dram.setCompletionSink(&done);
 
-    unsigned completed = 0;
     Cycle now = 0;
     // Sparse traffic over many refresh intervals.
     for (int burst = 0; burst < 12; ++burst) {
@@ -137,14 +135,11 @@ TEST(DramStressRefresh, LongIdleWithPeriodicTrafficRefreshes)
         auto req = std::make_unique<MemRequest>(
             dram.mapper().encode(loc), false, 0);
         req->loc = loc;
-        req->onComplete = [&completed](MemRequest &, Cycle) {
-            ++completed;
-        };
         dram.submit(std::move(req), now);
         now += timing.tREFI * kMemTick; // one refresh interval apart
         dram.tick(now);
     }
-    EXPECT_EQ(completed, 12u);
+    EXPECT_EQ(done.requests.size(), 12u);
     // Both ranks of channel 0 kept refreshing throughout.
     EXPECT_GE(dram.channel(0).rank(0).refreshCount(), 10u);
     EXPECT_GE(dram.channel(0).rank(1).refreshCount(), 10u);

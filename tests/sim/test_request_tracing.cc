@@ -105,7 +105,7 @@ parseLines(const std::string &text)
 
 } // namespace
 
-TEST(RequestTracing, SpanJsonlIdenticalAcrossEnginesAndThreads)
+TEST(RequestTracing, SpanJsonlIdenticalAcrossEngines)
 {
     SimConfig cfg = tracedConfig(/*rate=*/0.5);
     cfg.engine = SimEngine::Tick;

@@ -162,12 +162,24 @@ TEST(Snapshot, RestoredRunIsBitIdentical)
     std::string path = tmpPath("snap_mid.ckpt");
     SimConfig cfg = snapConfig();
     std::string straight = runWithCheckpoint(cfg, 200'000, path);
-    std::string restored = runRestored(cfg, path);
-    EXPECT_EQ(straight, restored);
+
+    // The checkpoint must hold a migration in flight, so the restored
+    // run completes it to the sink installed at construction, with no
+    // rebind step. The restored state is the saved state.
+    SyntheticTrace trace(snapProfile(), 1);
+    System sys(cfg, {&trace});
+    sys.loadSnapshot(path);
+    std::size_t migrating = 0;
+    for (unsigned c = 0; c < sys.dram().numChannels(); ++c)
+        migrating += sys.dram().channel(c).pendingMigrations();
+    EXPECT_GT(migrating, 0u) << "checkpoint tick has no migration in "
+                                "flight; move it";
+    sys.run();
+    EXPECT_EQ(straight, statsDump(sys));
     std::remove(path.c_str());
 }
 
-TEST(Snapshot, RestoreCrossesEngineAndThreads)
+TEST(Snapshot, RestoreCrossesEngines)
 {
     std::string path = tmpPath("snap_cross.ckpt");
     SimConfig cfg = snapConfig();
