@@ -54,13 +54,13 @@ class EpochSeries
      * elapsed epoch receives the whole delta and the rest are zero —
      * a cycle-skipping caller that wants exact per-epoch attribution
      * must instead stop at every nextBoundaryCycle() whose span saw
-     * stat changes and sample there (what the event engine does).
+     * stat changes and sample there.
      */
     void maybeSample(Cycle now);
 
     /**
      * Cycle at which the current epoch ends — the next boundary a
-     * cycle-skipping engine must not jump over without sampling.
+     * cycle-skipping caller must not jump over without sampling.
      * Tracks restart(): a warm-up reset landing mid-epoch realigns
      * the grid, and the boundary reported here moves with it.
      */

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -96,18 +95,6 @@ class Archive
     template <typename T>
     void
     io(std::vector<T> &v)
-    {
-        std::uint64_t n = v.size();
-        raw64(n);
-        if (!saving_)
-            v.resize(static_cast<std::size_t>(n));
-        for (auto &e : v)
-            io(e);
-    }
-
-    template <typename T>
-    void
-    io(std::deque<T> &v)
     {
         std::uint64_t n = v.size();
         raw64(n);

@@ -439,17 +439,6 @@ DasManager::tick(Cycle now)
     }
 }
 
-Cycle
-DasManager::nextWakeTick(Cycle now) const
-{
-    if (pending_.empty())
-        return kCycleMax;
-    Cycle next = kCycleMax;
-    for (const PendingAccess &acc : pending_)
-        next = std::min(next, std::max(acc.readyTick, now + 1));
-    return next;
-}
-
 void
 DasManager::serdeState(Archive &ar)
 {

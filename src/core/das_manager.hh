@@ -137,9 +137,6 @@ class DasManager : private CompletionSink
     /** Retry deferred submissions; call whenever the system ticks. */
     void tick(Cycle now);
 
-    /** Earliest tick tick() has useful work (kCycleMax when none). */
-    Cycle nextWakeTick(Cycle now) const;
-
     /** Outstanding manager-side work (excludes the DRAM system). */
     bool busy() const { return !pending_.empty(); }
 

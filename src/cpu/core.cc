@@ -1,7 +1,5 @@
 #include "core.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace dasdram
@@ -58,12 +56,6 @@ Core::dispatchOne(Cycle now)
     slot.done = !slot.isLoad; // stores retire via the store buffer
     slot.doneAtTick = now;
     (slot.isLoad ? loads_ : stores_).inc();
-    if (slot.isLoad) {
-        while (!loadSeqs_.empty() && loadSeqs_.front() < retiredAbs_)
-            loadSeqs_.pop_front();
-        // The slot just written is the newest window entry.
-        loadSeqs_.push_back(retiredAbs_ + windowCount_ - 1);
-    }
 
     Addr addr = pending_.addr;
     bool is_write = pending_.isWrite;
@@ -99,7 +91,6 @@ Core::tick(Cycle now)
         head_ = (head_ + 1) % cfg_.robSize;
         --windowCount_;
         retired_.inc();
-        ++retiredAbs_;
         ++retired_now;
     }
 
@@ -113,141 +104,6 @@ Core::tick(Cycle now)
             break; // trace exhausted
         dispatchOne(now);
     }
-}
-
-Cycle
-Core::nextEventTick(Cycle now) const
-{
-    // Anything dispatchable makes the very next cycle active. (A
-    // havePending_ == false, gapLeft_ > 0 state cannot occur: gap
-    // bubbles drain before the pending record's memory instruction.)
-    if (windowCount_ < cfg_.robSize && (havePending_ || !traceDone_))
-        return now + kCpuTick;
-    if (windowCount_ == 0)
-        return kCycleMax; // finished: only cycles_ keeps counting
-    const Slot &s = window_[head_];
-    if (!s.done)
-        return kCycleMax; // a memory callback will set doneAtTick
-    if (s.doneAtTick <= now)
-        return now + kCpuTick; // retirable next cycle (width-limited)
-    return s.doneAtTick;
-}
-
-std::uint64_t
-Core::burstCycles(Cycle first_tick, std::uint64_t max_cycles,
-                  InstCount max_retire, bool apply)
-{
-    // Locals mirror the mutable state; written back only when
-    // applying, so the peek and apply passes share one code path and
-    // cannot disagree. Bubble slots are deliberately NOT written:
-    // every slot a burst dispatches over was either never used
-    // (Slot{} is a done bubble) or holds a retired instruction, and a
-    // retired slot is always done with a doneAtTick in the past — so
-    // the stale contents retire exactly like a freshly written bubble
-    // and can never trip the stall accounting.
-    unsigned head = head_;
-    unsigned count = windowCount_;
-    std::uint32_t gap = gapLeft_;
-    std::uint64_t consumed = 0, dispatched_total = 0;
-    std::uint64_t retired = 0, stalls = 0;
-    Cycle now = first_tick;
-
-    while (consumed < max_cycles) {
-        // The cycle must provably dispatch nothing but gap bubbles: a
-        // memory dispatch or a trace refill needs a real tick().
-        if (havePending_ ? gap < cfg_.issueWidth : !traceDone_)
-            break;
-        // Never reach an instruction threshold (warm-up reset or the
-        // completion target): the crossing iteration must execute for
-        // real so the system observes it — and resets or stops — on
-        // exactly the same iteration as the tick engine.
-        if (retired + cfg_.issueWidth >= max_retire)
-            break;
-
-        // Steady-state fast path: with no unretired load anywhere in
-        // the window (everything ahead of head is a bubble or a
-        // retire-ready store) and at least a retire-width of entries,
-        // every cycle retires issueWidth and dispatches issueWidth
-        // bubbles — the window occupancy is invariant and the whole
-        // stretch collapses to arithmetic. loadSeqs_ is sorted, so
-        // "no unretired load" is one comparison against its back.
-        if (havePending_ && count >= cfg_.issueWidth &&
-            (loadSeqs_.empty() ||
-             loadSeqs_.back() < retiredAbs_ + retired)) {
-            std::uint64_t k = max_cycles - consumed;
-            k = std::min<std::uint64_t>(k, gap / cfg_.issueWidth);
-            k = std::min<std::uint64_t>(
-                k, (max_retire - retired - 1) / cfg_.issueWidth);
-            const std::uint64_t insts = k * cfg_.issueWidth;
-            head = static_cast<unsigned>((head + insts) % cfg_.robSize);
-            gap -= static_cast<std::uint32_t>(insts);
-            dispatched_total += insts;
-            retired += insts;
-            consumed += k;
-            now += k * kCpuTick;
-            continue;
-        }
-
-        // In-order retirement, replicating tick() under the caller's
-        // guarantee that no memory callback fires during the burst
-        // (slot done-ness is frozen; only `now` advances).
-        unsigned retired_now = 0;
-        bool stalled = false;
-        while (retired_now < cfg_.issueWidth && count > 0) {
-            const Slot &s = window_[head];
-            if (!s.done || s.doneAtTick > now) {
-                stalled = s.isMem && s.isLoad;
-                break;
-            }
-            head = (head + 1) % cfg_.robSize;
-            --count;
-            ++retired_now;
-        }
-
-        // Bubble dispatch: full width unless the window limits it
-        // (gap >= issueWidth was checked above).
-        unsigned dispatched = 0;
-        if (havePending_)
-            dispatched = std::min(cfg_.issueWidth, cfg_.robSize - count);
-
-        if (retired_now == 0 && dispatched == 0)
-            break; // pure stall: skipCycles() accounts it in bulk
-
-        count += dispatched;
-        gap -= dispatched;
-        dispatched_total += dispatched;
-        retired += retired_now;
-        if (stalled)
-            ++stalls;
-        ++consumed;
-        now += kCpuTick;
-    }
-
-    if (apply && consumed) {
-        head_ = head;
-        tail_ = static_cast<unsigned>((tail_ + dispatched_total) %
-                                      cfg_.robSize);
-        windowCount_ = count;
-        gapLeft_ = gap;
-        cycles_.inc(consumed);
-        retired_.inc(retired);
-        retiredAbs_ += retired;
-        robStallCycles_.inc(stalls);
-    }
-    return consumed;
-}
-
-void
-Core::skipCycles(std::uint64_t n)
-{
-    if (n == 0)
-        return;
-    cycles_.inc(n);
-    if (windowCount_ == 0)
-        return;
-    const Slot &s = window_[head_];
-    if (s.isMem && s.isLoad)
-        robStallCycles_.inc(n);
 }
 
 void
@@ -270,8 +126,6 @@ Core::serdeState(Archive &ar)
     ar.io(gapLeft_);
     ar.io(havePending_);
     ar.io(traceDone_);
-    ar.io(retiredAbs_);
-    ar.io(loadSeqs_);
     ar.end();
 }
 

@@ -15,7 +15,6 @@
 #define DASDRAM_CPU_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -70,53 +69,6 @@ class Core
      * that load (in-order retirement cannot pass an incomplete load).
      */
     void completeLoad(unsigned slot, Cycle done_tick);
-
-    /**
-     * Event horizon: the earliest tick at which tick() could retire or
-     * dispatch anything, given the state at @p now (a tick at which
-     * this core already ticked). Returns kCycleMax when only an
-     * external memory callback can unblock the core (ROB head is an
-     * outstanding load, or the core is finished) — the owner's DRAM /
-     * event horizons bound that case. The result is not necessarily
-     * aligned to the CPU clock; the caller rounds up to a multiple of
-     * kCpuTick. Never late: ticking earlier than the horizon is a
-     * no-op, ticking later than it would diverge from per-cycle
-     * execution.
-     */
-    Cycle nextEventTick(Cycle now) const;
-
-    /**
-     * Account @p n skipped CPU cycles during which this core provably
-     * did nothing: cycles elapse, and if the ROB head is a blocked
-     * load the stall counter advances, exactly as @p n tick() calls
-     * would have done. @pre nextEventTick() is more than @p n cycles
-     * away.
-     */
-    void skipCycles(std::uint64_t n);
-
-    /**
-     * Batch-execute up to @p max_cycles of pure gap-bubble flow —
-     * cycles whose dispatch consumes only non-memory bubbles and
-     * whose retirement needs no new completion — starting with the
-     * tick at @p first_tick, replicating per-cycle tick() exactly but
-     * without per-cycle system overhead. Stops before any cycle that
-     * would dispatch a memory instruction, refill from the trace,
-     * retire across @p max_retire instructions, or do nothing at all
-     * (a pure stall, which skipCycles() accounts in bulk). Returns
-     * the number of cycles consumed.
-     *
-     * With @p apply false this is a pure lookahead (no state
-     * changes) — the event engine's dispatch horizon. With @p apply
-     * true the cycles are executed. Both passes share one code path,
-     * so a lookahead of n guarantees an apply of up to n consumes
-     * exactly the requested amount.
-     *
-     * @pre No memory completion callback fires during the burst (the
-     * caller's event/DRAM horizons must bound it) and, when applying,
-     * the same precondition held since the lookahead.
-     */
-    std::uint64_t burstCycles(Cycle first_tick, std::uint64_t max_cycles,
-                              InstCount max_retire, bool apply);
 
     /** Retired instruction count. */
     InstCount retired() const { return retired_.value(); }
@@ -180,17 +132,6 @@ class Core
     std::uint32_t gapLeft_ = 0;
     bool havePending_ = false;
     bool traceDone_ = false;
-
-    /**
-     * Lifetime retired count (never reset) and the absolute sequence
-     * numbers of the load slots dispatched so far, oldest first; a
-     * load is still in the window iff its sequence number is >=
-     * retiredAbs_. Lets burstCycles() prove in O(1) that the whole
-     * window is retire-ready (no load to block on), unlocking its
-     * closed-form steady-state path. Entries are popped lazily.
-     */
-    std::uint64_t retiredAbs_ = 0;
-    std::deque<std::uint64_t> loadSeqs_;
 
     StatGroup statGroup_;
     Counter retired_, cycles_, loads_, stores_, robStallCycles_;

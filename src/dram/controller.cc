@@ -302,8 +302,8 @@ ChannelController::finish(std::unique_ptr<MemRequest> req, Cycle at,
         RequestSpan &s = *req->span;
         s.dataCycle = at;
         s.location = req->location;
-        // Emission happens in completion order, which the engine
-        // equivalence suites prove deterministic.
+        // Emission happens in completion order, which is
+        // deterministic.
         if (spanSink_)
             spanSink_->onSpan(s);
     }

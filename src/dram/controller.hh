@@ -192,7 +192,7 @@ class ChannelController
 
     /**
      * Earliest cycle at which tick() could do useful work, for
-     * fast-forwarding an idle system. Returns kCycleMax when fully idle
+     * skipping a channel's idle cycles. Returns kCycleMax when fully idle
      * with refresh disabled.
      *
      * This is the channel's event horizon: a lower bound on the next
@@ -202,9 +202,9 @@ class ChannelController
      * The bound may be early — waking the controller on a cycle where
      * nothing issues is a no-op — but is never late: skipping every
      * cycle below the horizon is indistinguishable from ticking them.
-     * Both the internal catch-up loop of DramSystem::tick and the
-     * event engine's outer loop rely on exactly that property, which
-     * the differential suite (ctest -L differential) enforces.
+     * The catch-up loop of DramSystem::tick relies on exactly that
+     * property, which the horizon property test
+     * (tests/dram/test_horizon.cc) enforces.
      */
     Cycle nextWakeCycle(Cycle now) const;
 

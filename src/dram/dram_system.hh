@@ -104,14 +104,14 @@ class DramSystem : private CompletionSink
     /** Advance the memory clock up to @p now_tick (call monotonically). */
     void tick(Cycle now_tick);
 
-    /** Earliest tick tick() should next be called at. */
+    /** nextWakeMemCycle() in ticks (kCycleMax when fully idle). */
     Cycle nextWakeTick(Cycle now_tick) const;
 
     /**
      * Earliest memory cycle any channel could issue a command or change
-     * state after @p mem_now (kCycleMax when fully idle). The memory-
-     * cycle-domain primitive behind nextWakeTick(); fuzz/differential
-     * harnesses probe this directly.
+     * state after @p mem_now (kCycleMax when fully idle) — the horizon
+     * tick()'s catch-up loop skips dead cycles up to. The memory-
+     * cycle-domain primitive behind nextWakeTick().
      */
     Cycle nextWakeMemCycle(Cycle mem_now) const;
 

@@ -195,7 +195,7 @@ class RequestTraceSink
     virtual ~RequestTraceSink() = default;
 
     /** Called once per sampled request, at completion, in completion
-     *  order (deterministic across engines). */
+     *  order (deterministic, and reproduced exactly by a restored run). */
     virtual void onSpan(const RequestSpan &span) = 0;
 };
 
@@ -226,11 +226,10 @@ class RequestSpanFanout : public RequestTraceSink
  * Deterministic request sampler. Each call to maybeStart() consumes
  * one decision: the decision sequence number is hashed (splitmix64)
  * against the seed, so the sampled subset depends only on (seed,
- * rate, decision index) — never on wall-clock or engine. Decisions
- * are made at request-creation points that are already proven
- * identical across engines (MSHR allocation, writeback
- * emission, table-walk issue), so the same requests are sampled
- * everywhere.
+ * rate, decision index) — never on wall-clock. Decisions are made at
+ * deterministic request-creation points (MSHR allocation, writeback
+ * emission, table-walk issue), so a rerun or a restored run samples
+ * the same requests.
  */
 class RequestTracer
 {

@@ -1,13 +1,9 @@
 /**
  * @file
- * Simulation engine selection. The tick engine advances one CPU cycle
- * at a time and is the reference; the event engine skips directly to
- * the next component horizon (ROB-head retire, DRAM command, pending
- * DAS retry, scheduled event, epoch boundary) and is required to be
- * bit-identical to the tick engine — same command stream, same cycle
- * stamps, same statistics. The differential suite
- * (tests/sim/test_engine_equivalence.cc, `ctest -L differential`)
- * enforces that equivalence over the full fuzz design×corner matrix.
+ * Leftover of the removed engine selection. The simulator has one
+ * main loop, System::run, which advances one CPU cycle per iteration;
+ * SimEngine and parseEngine remain only because the benchmark driver
+ * (perfbench/perfbench_run.cc) still assigns SimConfig::engine.
  */
 
 #ifndef DASDRAM_SIM_ENGINE_HH
@@ -18,16 +14,13 @@
 namespace dasdram
 {
 
-/** Simulation engine driving the main loop. */
+/** The one main loop: one CPU cycle per iteration. */
 enum class SimEngine
 {
-    Tick,  ///< one CPU cycle per iteration (reference semantics)
-    Event, ///< skip to the minimum component horizon (default)
+    Tick,
 };
 
-const char *toString(SimEngine e);
-
-/** Parse "tick" or "event"; fatal() on anything else. */
+/** Parse "tick"; fatal() on anything else (the event engine is gone). */
 SimEngine parseEngine(const std::string &name);
 
 } // namespace dasdram

@@ -137,8 +137,7 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
 
     // Request-span tracing under fuzz traffic: every created request
     // draws a sampling decision (before the canAccept bail-out, so the
-    // decision stream is a pure function of the creation sequence and
-    // therefore identical across engines).
+    // decision stream is a pure function of the creation sequence).
     RequestTracer tracer(c.seed, c.traceRequests);
     CountingSpanSink span_sink;
     if (c.traceRequests > 0.0)
@@ -148,9 +147,7 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
     const std::uint64_t columns = c.geom.rowBytes / c.geom.lineBytes;
 
     // Trace-driven addressing: round-robin the workload's per-core
-    // streams, folding each address into this case's geometry. Both
-    // engines consume the streams identically (like the RNG), so the
-    // differential guarantee is unaffected.
+    // streams, folding each address into this case's geometry.
     std::vector<std::unique_ptr<TraceSource>> wl_traces;
     unsigned wl_next = 0;
     if (!c.workload.empty()) {
@@ -190,16 +187,6 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
     const Cycle max_mem_cycles =
         100'000 + 500ull * std::max(1u, c.requests);
 
-    // Event engine bookkeeping. The harness walks every memory cycle in
-    // both engines so the injection RNG stream is identical; the event
-    // engine only elides the per-cycle DramSystem::tick calls below the
-    // controller horizon. Injections must observe the same controller
-    // clock as under the tick engine, so before any state-mutating call
-    // the DRAM is caught up to the current cycle — a pure clock advance,
-    // since the horizon contract guarantees the skipped span is idle.
-    const bool event = c.engine == SimEngine::Event;
-    Cycle next_wake_mem = 0; // 0 => the first iteration always ticks
-
     Cycle now_tick = 0;
     for (Cycle mem_cycle = 0; mem_cycle < max_mem_cycles; ++mem_cycle) {
         if (c.checkpointAtCycle > 0 &&
@@ -208,8 +195,6 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
             // checker, destroy them, rebuild fresh instances and
             // restore — the remainder of the run must be
             // indistinguishable from never having checkpointed.
-            if (event)
-                dram->tick(now_tick); // catch up; pure clock advance
             Archive saver;
             dram->serdeState(saver);
             checker->serdeState(saver);
@@ -236,9 +221,7 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
             dram->serdeState(loader);
             checker->serdeState(loader);
             loader.finish();
-            next_wake_mem = 0; // re-probe the horizon next iteration
         }
-        bool injected = false;
         // Inject 0-2 demand requests per cycle while traffic remains.
         unsigned burst = static_cast<unsigned>(rng.nextBelow(3));
         for (unsigned i = 0; i < burst && rep.submitted < c.requests;
@@ -279,11 +262,8 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
             }
             if (!dram->canAccept(req->loc, req->isWrite))
                 break;
-            if (event)
-                dram->tick(now_tick); // catch up; no-op when current
             dram->submit(std::move(req), now_tick);
             ++rep.submitted;
-            injected = true;
         }
 
         // Inject migration/swap jobs against the same row region.
@@ -303,29 +283,16 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
                 rng.nextBelow(group_size - fast_slots);
             bool full_swap = rng.chance(0.7);
             ++rep.migrationsStarted;
-            if (event)
-                dram->tick(now_tick); // catch up; no-op when current
             dram->startMigration(ch, ra, ba, row_a, row_b, full_swap,
                                 base, base + group_size);
-            injected = true;
         }
 
         now_tick += kMemTick;
-        // The drain check only changes state on a real tick (or an
-        // injection, which forces one), so skipped cycles cannot be
-        // the first cycle it would have fired on.
-        if (!event || injected || mem_cycle + 1 >= next_wake_mem) {
-            dram->tick(now_tick);
-            if (event) {
-                // now_tick is (mem_cycle + 1) * kMemTick here, so this
-                // probes the horizon from the next memory cycle.
-                next_wake_mem = dram->nextWakeMemCycle(now_tick / kMemTick);
-            }
-            if (rep.submitted >= c.requests &&
-                rep.completed >= rep.submitted && !dram->busy()) {
-                rep.drained = true;
-                break;
-            }
+        dram->tick(now_tick);
+        if (rep.submitted >= c.requests &&
+            rep.completed >= rep.submitted && !dram->busy()) {
+            rep.drained = true;
+            break;
         }
     }
 
@@ -346,17 +313,17 @@ diffField(std::string &detail, const char *name, const T &a, const T &b)
 {
     if (a == b || !detail.empty())
         return;
-    detail = formatStr("report.{}: tick={} event={}", name, a, b);
+    detail = formatStr("report.{}: reference={} run={}", name, a, b);
 }
 
 /** First differing line between two command-trace dumps, if any. */
 void
-diffTraces(std::string &detail, const std::string &tick,
-           const std::string &event)
+diffTraces(std::string &detail, const std::string &ref,
+           const std::string &run)
 {
-    if (tick == event || !detail.empty())
+    if (ref == run || !detail.empty())
         return;
-    std::istringstream ta(tick), tb(event);
+    std::istringstream ta(ref), tb(run);
     std::string la, lb;
     std::uint64_t line = 0;
     while (true) {
@@ -366,9 +333,9 @@ diffTraces(std::string &detail, const std::string &tick,
         if (!ha && !hb)
             break;
         if (ha != hb || la != lb) {
-            detail = formatStr("trace line {}: tick=\"{}\" event=\"{}\"",
-                               line, ha ? la : "<eof>",
-                               hb ? lb : "<eof>");
+            detail = formatStr(
+                "trace line {}: reference=\"{}\" run=\"{}\"", line,
+                ha ? la : "<eof>", hb ? lb : "<eof>");
             return;
         }
     }
@@ -405,26 +372,22 @@ runFuzzDifferential(const FuzzCase &c)
 {
     const DesignSpec &spec = designSpec(c.design);
     const DramTiming t = ddr3_1600Timing(spec.charmColumnOpt);
-    // With c.traceRequests set, cross span sampling off/on too:
-    // tracing is observation-only, so every report field and
-    // command-trace byte must survive turning it on, under both
-    // engines.
-    std::vector<double> rates{0.0};
-    if (c.traceRequests > 0.0)
-        rates.push_back(c.traceRequests);
+    // Cross span sampling off/on: tracing is observation-only, so
+    // every report field and command-trace byte must survive turning
+    // it on. Without an explicit rate every request is sampled.
+    const std::vector<double> rates{
+        0.0, c.traceRequests > 0.0 ? c.traceRequests : 1.0};
 
     // With c.checkpointAtCycle set, cross the snapshot round trip too:
-    // every (engine, rate) combination additionally runs with a
-    // mid-run checkpoint/restore, and must still match the straight
-    // (never-checkpointed) tick reference byte for byte.
+    // every rate additionally runs with a mid-run checkpoint/restore,
+    // and must still match the straight reference byte for byte.
     std::vector<Cycle> checkpoints{0};
     if (c.checkpointAtCycle > 0)
         checkpoints.push_back(c.checkpointAtCycle);
 
-    auto run_one = [&](SimEngine engine, double rate, Cycle checkpoint,
+    auto run_one = [&](double rate, Cycle checkpoint,
                        std::string &trace_text) {
         FuzzCase one = c;
-        one.engine = engine;
         one.traceRequests = rate;
         one.checkpointAtCycle = checkpoint;
         std::ostringstream os;
@@ -434,50 +397,38 @@ runFuzzDifferential(const FuzzCase &c)
         return rep;
     };
 
-    // The straight tick run with sampling off is the reference every
-    // other (engine, rate, checkpoint) combination must match
-    // byte-for-byte.
+    // The straight run with sampling off is the reference every other
+    // (rate, checkpoint) combination must match byte-for-byte.
     FuzzDifferential d;
     std::string ref_trace;
-    d.tick = run_one(SimEngine::Tick, 0.0, 0, ref_trace);
-    bool have_event = false;
+    d.reference = run_one(0.0, 0, ref_trace);
     std::uint64_t span_ref = 0;
     bool have_span_ref = false;
-    for (SimEngine engine : {SimEngine::Tick, SimEngine::Event}) {
-        for (double rate : rates) {
-            for (Cycle checkpoint : checkpoints) {
-                if (engine == SimEngine::Tick && rate == 0.0 &&
-                    checkpoint == 0)
-                    continue;
-                std::string trace;
-                FuzzReport rep = run_one(engine, rate, checkpoint, trace);
-                if (engine == SimEngine::Event && !have_event &&
-                    rate == 0.0 && checkpoint == 0) {
-                    d.event = rep;
-                    have_event = true;
-                }
-                std::string detail;
-                diffRuns(detail, d.tick, rep, ref_trace, trace);
-                if (!detail.empty() && d.detail.empty()) {
-                    d.detail = formatStr("{}/rate={}/checkpoint={}: {}",
-                                         toString(engine), rate,
-                                         checkpoint, detail);
-                }
-                // Sampled runs must agree with each other on the span
-                // count: the decisions are a pure function of (seed,
-                // rate, creation order), all identical here.
-                if (rate > 0.0) {
-                    if (!have_span_ref) {
-                        span_ref = rep.spansEmitted;
-                        have_span_ref = true;
-                    } else if (rep.spansEmitted != span_ref &&
-                               d.detail.empty()) {
-                        d.detail = formatStr(
-                            "{}/rate={}/checkpoint={}: spansEmitted {} "
-                            "!= reference {}",
-                            toString(engine), rate, checkpoint,
-                            rep.spansEmitted, span_ref);
-                    }
+    for (double rate : rates) {
+        for (Cycle checkpoint : checkpoints) {
+            if (rate == 0.0 && checkpoint == 0)
+                continue;
+            std::string trace;
+            FuzzReport rep = run_one(rate, checkpoint, trace);
+            std::string detail;
+            diffRuns(detail, d.reference, rep, ref_trace, trace);
+            if (!detail.empty() && d.detail.empty()) {
+                d.detail = formatStr("rate={}/checkpoint={}: {}", rate,
+                                     checkpoint, detail);
+            }
+            // Sampled runs must agree with each other on the span
+            // count: the decisions are a pure function of (seed, rate,
+            // creation order), all identical here.
+            if (rate > 0.0) {
+                if (!have_span_ref) {
+                    span_ref = rep.spansEmitted;
+                    have_span_ref = true;
+                } else if (rep.spansEmitted != span_ref &&
+                           d.detail.empty()) {
+                    d.detail = formatStr(
+                        "rate={}/checkpoint={}: spansEmitted {} != "
+                        "reference {}",
+                        rate, checkpoint, rep.spansEmitted, span_ref);
                 }
             }
         }

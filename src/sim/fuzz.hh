@@ -23,7 +23,6 @@
 #include "dram/controller.hh"
 #include "dram/geometry.hh"
 #include "dram/timing.hh"
-#include "sim/engine.hh"
 
 namespace dasdram
 {
@@ -48,7 +47,7 @@ struct FuzzCase
      * into this case's geometry) instead of the synthetic row picker —
      * fuzzing the protocol under realistic access patterns, including
      * external `file:` traces. The RNG still paces bursts and
-     * migrations, so tick/event determinism is unchanged.
+     * migrations.
      */
     std::string workload;
     /** Per-memory-cycle chance to enqueue a migration/swap job. */
@@ -57,16 +56,6 @@ struct FuzzCase
      *  top of the bank to hit address-space edges). */
     unsigned rowSpread = 96;
     std::uint64_t seed = 1;     ///< effective per-case seed
-
-    /**
-     * Harness engine. Tick walks every memory cycle; Event skips the
-     * DramSystem::tick calls of cycles below the controller horizon
-     * while drawing the injection RNG for every cycle, so the request
-     * and migration streams — and therefore the command stream — are
-     * identical to the tick engine's. The harness defaults to tick
-     * (it is the oracle side of the differential mode).
-     */
-    SimEngine engine = SimEngine::Tick;
 
     /**
      * When > 0: at this memory cycle the run serializes the DRAM
@@ -131,34 +120,32 @@ FuzzReport runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
                            const DramTiming &reference,
                            CommandSink *extra_sink = nullptr);
 
-/** Outcome of running one fuzz case through both engines. */
+/** Outcome of crossing one fuzz case against its straight run. */
 struct FuzzDifferential
 {
-    FuzzReport tick;  ///< reference (per-cycle) run
-    FuzzReport event; ///< horizon-skipping run
+    FuzzReport reference; ///< straight run, sampling off
     bool identical = false;
     /** First difference, "" when identical: a mismatched report field
      *  or the first diverging command-trace line. */
     std::string detail;
 
-    bool ok() const { return identical && tick.ok() && event.ok(); }
+    bool ok() const { return identical && reference.ok(); }
 };
 
 /**
- * Differential oracle: run @p c once per engine (same seed, same
- * timing on controller and checker) and compare the reports and the
- * complete command traces line by line. When c.traceRequests > 0 it
- * also crosses span sampling off/on, and when c.checkpointAtCycle > 0
- * a mid-run snapshot round trip off/on: every (engine, rate,
- * checkpoint) combination from {tick, event} × {0, c.traceRequests} ×
- * {straight, checkpointed} is compared against the straight unsampled
- * tick run, proving request tracing and checkpoint/restore are both
+ * Differential oracle: run @p c straight with span sampling off as the
+ * reference, then cross span sampling off/on — at c.traceRequests, or
+ * at rate 1 when that is 0 — and, when c.checkpointAtCycle > 0, a
+ * mid-run snapshot round trip off/on. Every (rate, checkpoint)
+ * combination from {0, rate} × {straight, checkpointed} is compared
+ * against the reference (same seed, same timing on controller and
+ * checker): the reports and the complete command traces line by line,
+ * proving request tracing and checkpoint/restore are both
  * observation-equivalent. Sampled runs must additionally agree on the
  * emitted span count. Any divergence — a command issued at a
  * different cycle, a different completion count, a protocol violation
  * in either run — is reported in `detail`, naming the first diverging
- * combination. The returned `tick`/`event` reports are the two
- * straight unsampled runs.
+ * combination.
  */
 FuzzDifferential runFuzzDifferential(const FuzzCase &c);
 

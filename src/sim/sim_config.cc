@@ -11,24 +11,14 @@
 namespace dasdram
 {
 
-const char *
-toString(SimEngine e)
-{
-    switch (e) {
-      case SimEngine::Tick: return "tick";
-      case SimEngine::Event: return "event";
-    }
-    return "?";
-}
-
 SimEngine
 parseEngine(const std::string &name)
 {
-    if (name == "tick")
-        return SimEngine::Tick;
-    if (name == "event")
-        return SimEngine::Event;
-    fatal("unknown engine '{}' (expected tick or event)", name);
+    if (name != "tick")
+        fatal("unknown engine '{}': the event engine was removed; the "
+              "only main loop is 'tick'",
+              name);
+    return SimEngine::Tick;
 }
 
 double
@@ -162,7 +152,6 @@ configToJson(const SimConfig &cfg)
     w.beginObject();
     w.field("workload", cfg.workload);
     w.field("design", designKey(cfg.design));
-    w.field("engine", toString(cfg.engine));
     w.field("seed", cfg.seed);
     w.field("instructionsPerCore", cfg.instructionsPerCore);
     w.field("warmupFraction", cfg.warmupFraction);
@@ -247,14 +236,9 @@ configFromJson(const std::string &text, SimConfig base)
     ObjReader r(root, "config");
     r.str("workload", cfg.workload);
     std::string token;
-    token.clear();
     r.str("design", token);
     if (!token.empty())
         cfg.design = parseDesign(token);
-    token.clear();
-    r.str("engine", token);
-    if (!token.empty())
-        cfg.engine = parseEngine(token);
     r.uns("seed", cfg.seed);
     r.uns("instructionsPerCore", cfg.instructionsPerCore);
     r.num("warmupFraction", cfg.warmupFraction);
@@ -344,7 +328,6 @@ configFingerprint(const SimConfig &cfg)
     // follows the config schema automatically; neutralise the fields
     // documented as excluded before hashing.
     SimConfig c = cfg;
-    c.engine = SimEngine::Event;
     c.obs.statsOut.clear();
     c.obs.statsDir.clear();
     c.obs.traceOut.clear();

@@ -63,8 +63,7 @@ struct ObservabilityConfig
      * of memory requests that carry a span record through the
      * controller (mem/request_trace.hh). 0 (default) disables the
      * tracer entirely — no sampler, no per-request pointer checks
-     * beyond a null test. Sampling is deterministic in (seed, rate),
-     * independent of engine and channel threading.
+     * beyond a null test. Sampling is deterministic in (seed, rate).
      */
     double traceRequests = 0.0;
 
@@ -97,13 +96,9 @@ struct SimConfig
     DasConfig das{};
     DesignKind design = DesignKind::Das;
 
-    /**
-     * Main-loop engine. The event engine is the default: it is proven
-     * bit-identical to the tick engine by the differential suite, and
-     * the tick engine stays available (--engine=tick) as the reference
-     * oracle for that proof.
-     */
-    SimEngine engine = SimEngine::Event;
+    /** Read by nothing; kept only because the frozen benchmark
+     *  (perfbench/) assigns it. */
+    SimEngine engine = SimEngine::Tick;
 
     /** Per-core instruction target (warm-up included). */
     InstCount instructionsPerCore = 10'000'000;
@@ -173,10 +168,9 @@ SimConfig configFromJson(const std::string &text, SimConfig base = {});
 /**
  * Deterministic fingerprint of every configuration field that shapes
  * simulated state. Excluded: the export destinations (statsOut,
- * statsDir, traceOut, spansOut), the run-identity strings
- * (workloadName, label) and the engine — all proven not to affect
- * state, so a checkpoint can be restored under a different engine or
- * output set. Everything else
+ * statsDir, traceOut, spansOut) and the run-identity strings
+ * (workloadName, label) — none affects state, so a checkpoint can be
+ * restored under a different output set. Everything else
  * participates, including observability knobs that change the
  * serialised shape (histograms, epochMemCycles, traceRequests).
  * Stamped into checkpoints and enforced at load.

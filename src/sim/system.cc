@@ -1,7 +1,6 @@
 #include "system.hh"
 
 #include <algorithm>
-#include <limits>
 #include <ostream>
 
 #include "common/binfmt.hh"
@@ -144,6 +143,14 @@ System::System(const SimConfig &cfg, std::vector<TraceSource *> traces)
     statGroup_.addChild(&dram_->stats());
     statGroup_.addChild(&mshrs_->stats());
 
+    // Negated comparisons so a NaN fails too.
+    if (!(cfg_.warmupFraction >= 0.0 && cfg_.warmupFraction < 1.0))
+        fatal("config: warmupFraction must be in [0, 1), got {}",
+              cfg_.warmupFraction);
+    if (!(cfg_.obs.traceRequests >= 0.0 && cfg_.obs.traceRequests <= 1.0))
+        fatal("config: observability.traceRequests must be a rate in "
+              "[0, 1], got {}",
+              cfg_.obs.traceRequests);
     if (cfg_.obs.traceRequests > 0.0) {
         // Request-lifecycle tracing: one deterministic sampler shared
         // by every request-creation point (demand misses, writebacks,
@@ -315,9 +322,8 @@ System::startMiss(unsigned core, Addr line, bool is_write, Cycle at,
     if (mshrs_->full())
         return; // caller retries
     mshrs_->allocate(line);
-    // Sample at MSHR allocation: the set of allocations (and their
-    // order) is already proven identical across engines, so the
-    // sampled subset is too.
+    // Sample at MSHR allocation: the decisions are a pure function of
+    // the allocation order, so a restored run samples the same subset.
     std::unique_ptr<RequestSpan> span;
     if (tracer_) {
         span = tracer_->maybeStart();
@@ -344,153 +350,11 @@ System::resetAfterWarmup()
         epochs_->restart(now_ / kMemTick);
 }
 
-namespace
-{
-
-/** First multiple of kCpuTick at or after @p t (the CPU clock edge the
- *  tick loop would observe @p t on). */
-Cycle
-roundUpToCpuTick(Cycle t)
-{
-    return (t + kCpuTick - 1) / kCpuTick * kCpuTick;
-}
-
-/** Bound on one burst lookahead, so a single fastForward call stays
- *  O(bounded) even against a multi-million-instruction compute gap;
- *  the next call simply continues the burst. */
-constexpr std::uint64_t kMaxBurstCycles = 1u << 16;
-
-} // namespace
-
-InstCount
-System::retireCap(const Core &core) const
-{
-    const InstCount warmup = cfg_.warmupInstructions();
-    const InstCount target = cfg_.instructionsPerCore;
-    // Mirrors run(): before the warm-up reset the next observed
-    // threshold is min(warmup, target); after it, target minus the
-    // retired-count base the reset established.
-    const InstCount threshold =
-        warmupDone_ ? target - warmup : std::min(warmup, target);
-    const InstCount done = core.retired();
-    return done < threshold ? threshold - done
-                            : std::numeric_limits<InstCount>::max();
-}
-
-Cycle
-System::fastForward(Cycle next_cpu_at)
-{
-    // Cheapest horizons first, bailing out the moment the very next
-    // iteration is known to be active: on busy stretches (any core
-    // dispatching a memory instruction) this costs a few comparisons,
-    // and the DRAM horizon — a scan over queues and banks — is only
-    // computed when a real skip is possible.
-    Cycle stop = kCycleMax;
-    bool any_burst = false;
-    for (const auto &core : cores_) {
-        Cycle h = core->nextEventTick(now_);
-        if (h <= next_cpu_at) {
-            // Dispatch- or retire-active — but stretches of pure
-            // gap-bubble flow are batchable. Probe one cycle: if even
-            // that needs a real tick (a memory dispatch or a trace
-            // refill is due), no skip is possible. The full burst
-            // lookahead is deferred until the other horizons have
-            // bounded the span, so its cost is proportional to the
-            // cycles actually skipped, not to the burst's length.
-            if (core->burstCycles(next_cpu_at, 1, retireCap(*core),
-                                  /*apply=*/false) == 0)
-                return next_cpu_at;
-            any_burst = true;
-            continue;
-        }
-        stop = std::min(stop, h);
-    }
-    if (!events_.empty())
-        stop = std::min(stop, events_.front().at);
-    // A scheduled checkpoint must be taken at its exact loop top, so
-    // never skip across one.
-    if (!checkpoints_.empty())
-        stop = std::min(stop, roundUpToCpuTick(nextCheckpointTick()));
-    if (stop <= next_cpu_at)
-        return next_cpu_at;
-    stop = std::min(stop, das_->nextWakeTick(now_));
-    if (stop <= next_cpu_at)
-        return next_cpu_at;
-    stop = std::min(stop, dram_->nextWakeTick(now_));
-    if (stop <= next_cpu_at)
-        return next_cpu_at;
-    if (stop == kCycleMax && !any_burst) {
-        panic("event engine: no component has a future event at tick "
-              "{} (cores blocked forever?)",
-              now_);
-    }
-    if (any_burst)
-        stop = std::min(stop, next_cpu_at + kMaxBurstCycles * kCpuTick);
-    stop = roundUpToCpuTick(stop);
-
-    // Burst-active cores bound the span to however many pure
-    // gap-bubble cycles they can batch; the slicing loop then applies
-    // exactly that many, so the lookahead never walks past `stop`.
-    if (any_burst) {
-        for (const auto &core : cores_) {
-            if (core->nextEventTick(now_) > next_cpu_at)
-                continue;
-            std::uint64_t span = (stop - next_cpu_at) / kCpuTick;
-            std::uint64_t n = core->burstCycles(
-                next_cpu_at, span, retireCap(*core), /*apply=*/false);
-            if (n < span)
-                stop = next_cpu_at + n * kCpuTick;
-        }
-    }
-
-    // Skip the iterations at [next_cpu_at, stop), slicing at every
-    // epoch boundary so each epoch observes exactly the per-core
-    // cycle, instruction and stall counts the tick engine would have
-    // accumulated by that boundary. Each core first replays its
-    // batchable gap-bubble cycles (bounded by its horizon above) and
-    // accounts the rest as a stall; nothing else changes on skipped
-    // cycles: there is no due event, no DAS retry, and the DRAM
-    // horizon guarantees its internal catch-up would not issue a
-    // command below `stop`.
-    while (next_cpu_at < stop) {
-        Cycle slice_end = stop; // exclusive: iteration at stop runs
-        bool at_boundary = false;
-        if (epochs_) {
-            Cycle b_tick = roundUpToCpuTick(
-                epochs_->nextBoundaryCycle() * kMemTick);
-            if (b_tick < slice_end) {
-                slice_end = b_tick + kCpuTick; // include the boundary
-                at_boundary = true;
-            }
-        }
-        std::uint64_t n = (slice_end - next_cpu_at) / kCpuTick;
-        for (const auto &core : cores_) {
-            std::uint64_t m = core->burstCycles(
-                next_cpu_at, n, retireCap(*core), /*apply=*/true);
-            core->skipCycles(n - m);
-        }
-        next_cpu_at = slice_end;
-        if (at_boundary)
-            epochs_->maybeSample((slice_end - kCpuTick) / kMemTick);
-    }
-
-    // Advance the DRAM clock through the skipped span, exactly as the
-    // tick loop's per-iteration dram tick would have (a pure clock
-    // advance: the horizon guarantees no channel has work below stop).
-    // Without this, a request submitted by an event at `stop` would be
-    // visible to the memory cycles of the skipped span when the next
-    // dram tick catches up across it — issuing commands earlier than
-    // the tick engine, which had already passed those cycles.
-    dram_->tick(stop - kCpuTick);
-    return stop;
-}
-
 RunMetrics
 System::run()
 {
     const InstCount warmup = cfg_.warmupInstructions();
     const InstCount target = cfg_.instructionsPerCore;
-    const bool event_engine = cfg_.engine == SimEngine::Event;
     // A restored snapshot resumes at the loop top it was saved at;
     // warmup_retired_base is reconstructible (run() always sets it to
     // `warmup` at the reset), so it is not serialised.
@@ -544,12 +408,6 @@ System::run()
         }
         if (done >= target - (warmupDone_ ? warmup_retired_base : 0))
             break;
-
-        // Retirement (and hence the warm-up and completion conditions
-        // above) only changes on active iterations, so fast-forwarding
-        // here cannot jump over either threshold.
-        if (event_engine)
-            next_cpu_at = fastForward(next_cpu_at);
     }
 
     for (const auto &cp : checkpoints_) {
@@ -613,15 +471,6 @@ System::checkpointAtWarmup(std::string path)
     if (warmupDone_)
         fatal("checkpointAtWarmup: warm-up already completed");
     warmupCheckpointPath_ = std::move(path);
-}
-
-Cycle
-System::nextCheckpointTick() const
-{
-    Cycle t = kCycleMax;
-    for (const auto &[tick, path] : checkpoints_)
-        t = std::min(t, tick);
-    return t;
 }
 
 void
@@ -717,6 +566,11 @@ System::loadSnapshot(const std::string &path)
         path, kSnapshotMagic, kSnapshotVersion, "checkpoint");
     if (!env.ok())
         fatal("checkpoint '{}': {}", path, env.error);
+    if (env.version < kSnapshotVersion) {
+        fatal("checkpoint '{}': version {} comes from an older build; "
+              "re-create it with this build (version {})",
+              path, env.version, kSnapshotVersion);
+    }
     Archive ar(std::move(env.payload));
     std::uint64_t fp = 0;
     ar.io(fp);
@@ -725,7 +579,7 @@ System::loadSnapshot(const std::string &path)
         fatal("checkpoint '{}': config fingerprint mismatch ({} in "
               "file, {} for this configuration) — a restore needs the "
               "same state-shaping configuration the checkpoint was "
-              "taken with (export paths and engine may differ)",
+              "taken with (export paths may differ)",
               path, fp, want);
     }
     serdeState(ar);

@@ -111,7 +111,8 @@ class System
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
-    /** Run to completion (instruction target on every core). */
+    /** Run to completion (instruction target on every core), one CPU
+     *  cycle per loop iteration. */
     RunMetrics run();
 
     /** Access the manager (e.g. to program static tables) pre-run. */
@@ -195,10 +196,10 @@ class System
     /**
      * Restore state from a checkpoint written by saveSnapshot. The
      * system must be built from a configuration whose fingerprint
-     * matches the checkpoint's (export paths and engine may differ —
-     * see configFingerprint); mismatches, bad
-     * magic, truncation and too-new versions are fatal. A subsequent
-     * run() continues bit-identically to a run that never stopped.
+     * matches the checkpoint's (export paths may differ — see
+     * configFingerprint); mismatches, bad magic, truncation and any
+     * version other than this build's are fatal. A subsequent run()
+     * continues bit-identically to a run that never stopped.
      */
     void loadSnapshot(const std::string &path);
 
@@ -218,7 +219,7 @@ class System
 
     /** Checkpoint envelope identity (shared with tests and tools). */
     static constexpr std::uint32_t kSnapshotMagic = 0x504b4344u; // "DCKP"
-    static constexpr std::uint16_t kSnapshotVersion = 1;
+    static constexpr std::uint16_t kSnapshotVersion = 2;
     /// @}
 
   private:
@@ -274,28 +275,6 @@ class System
     void dispatchContinuation(const Continuation &cont, Cycle at);
     /** Save every scheduled checkpoint whose tick has been reached. */
     void maybeCheckpoint();
-    /** Earliest scheduled-checkpoint tick (kCycleMax when none). */
-    Cycle nextCheckpointTick() const;
-
-    /**
-     * Event engine: starting from the iteration scheduled at
-     * @p next_cpu_at (the state as of the just-finished iteration at
-     * now_), compute the minimum component horizon and skip every
-     * provably idle CPU cycle up to it — batching the skipped cycles
-     * into each core's counters and sampling the epoch series at every
-     * boundary crossed, so stats are bit-identical to ticking through.
-     * Returns the tick of the next iteration to execute (>= next_cpu_at).
-     */
-    Cycle fastForward(Cycle next_cpu_at);
-    /**
-     * Instructions @p core may retire inside a fast-forward span
-     * before the next threshold run() observes per iteration — the
-     * warm-up boundary or the completion target. The crossing
-     * iteration itself must execute for real, so core bursts stop
-     * short of it; a core already past the current threshold (it is
-     * not the min-progress core) is unconstrained.
-     */
-    InstCount retireCap(const Core &core) const;
     /** @p issue_tick: the tick the core issued the access (the span's
      *  core-issue stage); @p at is when the LLC reported the miss. */
     void startMiss(unsigned core, Addr line, bool is_write, Cycle at,

@@ -160,10 +160,10 @@ namespace
  * Drives one EpochSeries through a fixed activity schedule: stats
  * mutate only at "active" cycles, and the stretches between them are
  * genuinely idle — the precondition for skipping them. @p unit
- * samples after every cycle, as the tick engine does; otherwise the
+ * samples after every cycle, as System::run does; otherwise the
  * driver hops straight between active cycles, stopping only at the
- * epoch boundaries in between, exactly as System::fastForward slices
- * its skips. Both observation patterns must yield identical epochs.
+ * epoch boundaries in between, as a cycle-skipping caller must. Both
+ * observation patterns must yield identical epochs.
  */
 std::vector<EpochSeries::Epoch>
 runSchedule(bool unit, Cycle restart_at, Cycle end)
@@ -198,7 +198,7 @@ runSchedule(bool unit, Cycle restart_at, Cycle end)
         Cycle c = 0;
         while (true) {
             // Emit every boundary the hop crossed before acting at
-            // the landing cycle, as the slicing fast-forward does.
+            // the landing cycle.
             while (s.nextBoundaryCycle() <= c)
                 s.maybeSample(s.nextBoundaryCycle());
             if (c >= end)

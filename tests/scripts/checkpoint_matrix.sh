@@ -1,8 +1,7 @@
 #!/bin/sh
 # Bit-identity acceptance matrix for the snapshot/restore subsystem:
-# every design x both engines. Each cell
-# runs straight with a mid-run checkpoint, restores that checkpoint in
-# a fresh process, and requires
+# every design. Each cell runs straight with a mid-run checkpoint,
+# restores that checkpoint in a fresh process, and requires
 #   - stats JSONL:    byte-identical,
 #   - span JSONL:     the restored spans are a byte-suffix of the
 #                     straight run's (each minus its own meta line),
@@ -28,39 +27,36 @@ suffix_of() {
 
 fail=0
 for design in $DESIGNS; do
-    for engine in tick event; do
-        tag="$design-$engine"
-        ckpt="$WORK/$tag.ckpt"
-        for mode in cold warm; do
-            if [ "$mode" = cold ]; then
-                snap="--checkpoint-out 150000:$ckpt"
-            else
-                snap="--restore $ckpt"
-            fi
-            # shellcheck disable=SC2086  # $snap is two words
-            "$RUN" --workload mcf --design "$design" \
-                --instructions 60000 --engine "$engine" \
-                --trace-requests 1 \
-                $snap \
-                --stats-out "$WORK/$tag.$mode.stats.jsonl" \
-                --spans-out "$WORK/$tag.$mode.spans.jsonl" \
-                --trace-cmds "$WORK/$tag.$mode.cmds.txt" \
-                > /dev/null
-        done
-        ok=1
-        cmp -s "$WORK/$tag.cold.stats.jsonl" \
-            "$WORK/$tag.warm.stats.jsonl" || ok=0
-        tail -n +2 "$WORK/$tag.cold.spans.jsonl" > "$WORK/cold.body"
-        tail -n +2 "$WORK/$tag.warm.spans.jsonl" > "$WORK/warm.body"
-        suffix_of "$WORK/cold.body" "$WORK/warm.body" || ok=0
-        suffix_of "$WORK/$tag.cold.cmds.txt" \
-            "$WORK/$tag.warm.cmds.txt" || ok=0
-        if [ "$ok" = 1 ]; then
-            echo "ok   $tag"
+    ckpt="$WORK/$design.ckpt"
+    for mode in cold warm; do
+        if [ "$mode" = cold ]; then
+            snap="--checkpoint-out 150000:$ckpt"
         else
-            echo "FAIL $tag"
-            fail=1
+            snap="--restore $ckpt"
         fi
+        # shellcheck disable=SC2086  # $snap is two words
+        "$RUN" --workload mcf --design "$design" \
+            --instructions 60000 \
+            --trace-requests 1 \
+            $snap \
+            --stats-out "$WORK/$design.$mode.stats.jsonl" \
+            --spans-out "$WORK/$design.$mode.spans.jsonl" \
+            --trace-cmds "$WORK/$design.$mode.cmds.txt" \
+            > /dev/null
     done
+    ok=1
+    cmp -s "$WORK/$design.cold.stats.jsonl" \
+        "$WORK/$design.warm.stats.jsonl" || ok=0
+    tail -n +2 "$WORK/$design.cold.spans.jsonl" > "$WORK/cold.body"
+    tail -n +2 "$WORK/$design.warm.spans.jsonl" > "$WORK/warm.body"
+    suffix_of "$WORK/cold.body" "$WORK/warm.body" || ok=0
+    suffix_of "$WORK/$design.cold.cmds.txt" \
+        "$WORK/$design.warm.cmds.txt" || ok=0
+    if [ "$ok" = 1 ]; then
+        echo "ok   $design"
+    else
+        echo "FAIL $design"
+        fail=1
+    fi
 done
 exit $fail

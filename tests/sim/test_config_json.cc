@@ -29,7 +29,6 @@ TEST(ConfigJson, ModifiedFieldsSurviveTheRoundTrip)
     SimConfig cfg;
     cfg.workload = "mix:spec:mcf,spec:lbm";
     cfg.design = DesignKind::Charm;
-    cfg.engine = SimEngine::Tick;
     cfg.seed = 1234;
     cfg.instructionsPerCore = 777'000;
     cfg.warmupFraction = 0.35;
@@ -44,7 +43,6 @@ TEST(ConfigJson, ModifiedFieldsSurviveTheRoundTrip)
     SimConfig back = configFromJson(configToJson(cfg));
     EXPECT_EQ(back.workload, cfg.workload);
     EXPECT_EQ(back.design, DesignKind::Charm);
-    EXPECT_EQ(back.engine, SimEngine::Tick);
     EXPECT_EQ(back.seed, 1234u);
     EXPECT_EQ(back.instructionsPerCore, 777'000u);
     EXPECT_DOUBLE_EQ(back.warmupFraction, 0.35);
@@ -58,7 +56,7 @@ TEST(ConfigJson, ModifiedFieldsSurviveTheRoundTrip)
     EXPECT_EQ(configToJson(back), configToJson(cfg));
 }
 
-TEST(ConfigJson, EveryDesignAndEngineSpellingParses)
+TEST(ConfigJson, EveryDesignSpellingParses)
 {
     for (DesignKind d :
          {DesignKind::Standard, DesignKind::Sas, DesignKind::Charm,
@@ -66,11 +64,6 @@ TEST(ConfigJson, EveryDesignAndEngineSpellingParses)
         SimConfig cfg;
         cfg.design = d;
         EXPECT_EQ(configFromJson(configToJson(cfg)).design, d);
-    }
-    for (SimEngine e : {SimEngine::Tick, SimEngine::Event}) {
-        SimConfig cfg;
-        cfg.engine = e;
-        EXPECT_EQ(configFromJson(configToJson(cfg)).engine, e);
     }
 }
 
@@ -94,6 +87,7 @@ TEST(ConfigJson, UnknownKeysAreFatal)
     EXPECT_DEATH(configFromJson(R"({"sedd": 7})"), "sedd");
     EXPECT_DEATH(configFromJson(R"({"caches": {"l9SizeBytes": 1}})"),
                  "l9SizeBytes");
+    EXPECT_DEATH(configFromJson(R"({"engine": "event"})"), "engine");
 }
 
 TEST(ConfigJson, MalformedJsonIsFatal)

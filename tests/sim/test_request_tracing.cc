@@ -1,9 +1,9 @@
 /**
  * @file
- * Integration tests for request-lifecycle tracing: span-JSONL dumps
- * must be byte-identical across engines, tracing must be observation-only (identical metrics and command
- * streams with sampling on or off), and the critical-path breakdown
- * must reconcile exactly with the aggregate latency histograms.
+ * Integration tests for request-lifecycle tracing: tracing must be
+ * observation-only (identical metrics and command streams with
+ * sampling on or off), and the critical-path breakdown must reconcile
+ * exactly with the aggregate latency histograms.
  */
 
 #include <gtest/gtest.h>
@@ -104,21 +104,6 @@ parseLines(const std::string &text)
 }
 
 } // namespace
-
-TEST(RequestTracing, SpanJsonlIdenticalAcrossEngines)
-{
-    SimConfig cfg = tracedConfig(/*rate=*/0.5);
-    cfg.engine = SimEngine::Tick;
-    const RunResult ref = runOnce(cfg);
-    EXPECT_FALSE(ref.spans.empty());
-
-    cfg.engine = SimEngine::Event;
-    const RunResult r = runOnce(cfg);
-    // Byte-identical span JSONL: same requests sampled, same stage
-    // cycles, same completion (= emission) order.
-    EXPECT_EQ(ref.spans, r.spans);
-    EXPECT_EQ(ref.commands, r.commands);
-}
 
 TEST(RequestTracing, TracingIsObservationOnly)
 {

@@ -1,10 +1,11 @@
 /**
  * @file
  * Snapshot/restore integration tests: failure modes of the versioned
- * checkpoint envelope (truncation, wrong magic, future version,
- * config-fingerprint mismatch) and the bit-identity guarantee — a run
- * restored from a mid-run checkpoint must reproduce the straight
- * run's stats exactly, including mid-epoch EpochSeries alignment.
+ * checkpoint envelope (truncation, wrong magic, older or newer
+ * version, config-fingerprint mismatch) and the bit-identity
+ * guarantee — a run restored from a mid-run checkpoint must reproduce
+ * the straight run's stats exactly, including mid-epoch EpochSeries
+ * alignment.
  */
 
 #include <gtest/gtest.h>
@@ -140,6 +141,21 @@ TEST(SnapshotDeathTest, FutureVersionIsFatal)
     EXPECT_DEATH(sys.loadSnapshot(path), "newer than this build");
 }
 
+TEST(SnapshotDeathTest, OlderVersionIsFatal)
+{
+    std::string path = tmpPath("snap_older.ckpt");
+    std::string err = binfmt::writeEnvelopeFile(
+        path, System::kSnapshotMagic,
+        static_cast<std::uint16_t>(System::kSnapshotVersion - 1),
+        std::vector<unsigned char>{1, 2, 3});
+    ASSERT_TRUE(err.empty()) << err;
+
+    SimConfig cfg = snapConfig();
+    SyntheticTrace trace(snapProfile(), 1);
+    System sys(cfg, {&trace});
+    EXPECT_DEATH(sys.loadSnapshot(path), "older build; re-create it");
+}
+
 TEST(SnapshotDeathTest, ConfigFingerprintMismatchIsFatal)
 {
     std::string path = tmpPath("snap_fp.ckpt");
@@ -149,7 +165,7 @@ TEST(SnapshotDeathTest, ConfigFingerprintMismatchIsFatal)
     das_sys.saveSnapshot(path);
 
     // A state-shaping difference (the design) must refuse to restore;
-    // engine/output differences deliberately do not.
+    // output differences deliberately do not.
     SimConfig std_cfg = snapConfig(DesignKind::Standard);
     SyntheticTrace t2(snapProfile(), 1);
     System std_sys(std_cfg, {&t2});
@@ -176,22 +192,6 @@ TEST(Snapshot, RestoredRunIsBitIdentical)
                                 "flight; move it";
     sys.run();
     EXPECT_EQ(straight, statsDump(sys));
-    std::remove(path.c_str());
-}
-
-TEST(Snapshot, RestoreCrossesEngines)
-{
-    std::string path = tmpPath("snap_cross.ckpt");
-    SimConfig cfg = snapConfig();
-    cfg.engine = SimEngine::Event;
-    std::string straight = runWithCheckpoint(cfg, 200'000, path);
-
-    // The fingerprint admits an engine change: restoring under the
-    // tick engine must still reproduce the event run bit for bit.
-    SimConfig other = cfg;
-    other.engine = SimEngine::Tick;
-    std::string restored = runRestored(other, path);
-    EXPECT_EQ(straight, restored);
     std::remove(path.c_str());
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "sim/experiment.hh"
@@ -134,6 +135,25 @@ TEST(SystemDeathTest, TraceCountMustMatchCores)
     cfg.numCores = 2;
     SyntheticTrace t(tinyProfile(), 1);
     EXPECT_DEATH(System(cfg, {&t}), "one trace per core");
+}
+
+TEST(SystemDeathTest, OutOfRangeFractionsAreFatal)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double f : {-1.0, 1.0, 2.0, nan}) {
+        SimConfig cfg = tinyConfig(DesignKind::Das);
+        cfg.warmupFraction = f;
+        SyntheticTrace t(tinyProfile(), 1);
+        EXPECT_DEATH(System(cfg, {&t}), "warmupFraction must be in")
+            << "warmupFraction=" << f;
+    }
+    for (double r : {-0.5, 1.5, nan}) {
+        SimConfig cfg = tinyConfig(DesignKind::Das);
+        cfg.obs.traceRequests = r;
+        SyntheticTrace t(tinyProfile(), 1);
+        EXPECT_DEATH(System(cfg, {&t}), "traceRequests must be")
+            << "traceRequests=" << r;
+    }
 }
 
 TEST(SimConfig, WarmupInstructionArithmetic)

@@ -4,7 +4,7 @@
  * synthetic workload recorded with runSimulation's record_prefix and
  * replayed through a `file:` spec must produce bit-identical metrics
  * to the live run — per design (including the static designs, whose
- * profiling pre-pass must stay out of the capture) and per engine.
+ * profiling pre-pass must stay out of the capture).
  */
 
 #include <gtest/gtest.h>
@@ -80,18 +80,9 @@ recordThenReplay(const std::string &workload, SimConfig cfg,
 
 } // namespace
 
-TEST(TraceReplay, DasSingleCoreEventEngine)
-{
-    SimConfig cfg = tinyConfig(DesignKind::Das);
-    cfg.engine = SimEngine::Event;
-    recordThenReplay("mcf", cfg, "das_event");
-}
-
 TEST(TraceReplay, DasSingleCoreTickEngine)
 {
-    SimConfig cfg = tinyConfig(DesignKind::Das);
-    cfg.engine = SimEngine::Tick;
-    recordThenReplay("mcf", cfg, "das_tick");
+    recordThenReplay("mcf", tinyConfig(DesignKind::Das), "das");
 }
 
 TEST(TraceReplay, StaticDesignProfilingPassStaysOutOfTheCapture)
@@ -99,27 +90,17 @@ TEST(TraceReplay, StaticDesignProfilingPassStaysOutOfTheCapture)
     // FS-DRAM runs a profiling pre-pass over the trace before the
     // measured run; the recorder must wipe it on reset() or the replay
     // would see every record twice.
-    SimConfig cfg = tinyConfig(DesignKind::Fs);
-    cfg.engine = SimEngine::Event;
-    recordThenReplay("lbm", cfg, "fs_event");
+    recordThenReplay("lbm", tinyConfig(DesignKind::Fs), "fs");
 }
 
 TEST(TraceReplay, MultiCoreMixReplaysPerCoreFiles)
 {
     SimConfig cfg = tinyConfig(DesignKind::Das);
-    cfg.engine = SimEngine::Event;
     cfg.instructionsPerCore = 50'000;
-    recordThenReplay("mcf,omnetpp", cfg, "mix_event");
+    recordThenReplay("mcf,omnetpp", cfg, "mix");
 }
 
-TEST(TraceReplay, StandardDesignBothEnginesAgreeOnTheReplay)
+TEST(TraceReplay, StandardDesignReplayMatchesLiveRun)
 {
-    // Replay the same capture under both engines: each engine must
-    // reproduce its own live run exactly (the engines themselves are
-    // compared by the equivalence suite, not here).
-    SimConfig cfg = tinyConfig(DesignKind::Standard);
-    cfg.engine = SimEngine::Tick;
-    recordThenReplay("milc", cfg, "std_tick");
-    cfg.engine = SimEngine::Event;
-    recordThenReplay("milc", cfg, "std_event");
+    recordThenReplay("milc", tinyConfig(DesignKind::Standard), "std");
 }

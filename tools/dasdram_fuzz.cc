@@ -12,8 +12,7 @@
  *   dasdram_fuzz --filter das/tiny-queues
  *   dasdram_fuzz --trace-cmds cmds.txt --filter das/base
  *   dasdram_fuzz --trace-out t.json --filter das/migrate-heavy
- *   dasdram_fuzz --engine event        # horizon-skipping harness
- *   dasdram_fuzz --differential        # run tick AND event, diff them
+ *   dasdram_fuzz --differential        # cross span sampling off/on
  *   dasdram_fuzz --differential --checkpoint-cycle 3000
  *                                      # also cross a mid-run snapshot
  *                                      # round trip vs straight runs
@@ -60,21 +59,19 @@ main(int argc, char **argv)
         .option("--trace-out", "FILE",
                 "Chrome trace_event JSON timeline of the first matching "
                 "case (use --filter to pick it)")
-        .option("--engine", "E",
-                "harness engine: tick (walk every memory cycle, the "
-                "default) or event (skip to controller horizons)")
         .optionDouble("--trace-requests", "RATE",
                       "request-span sampling rate in [0,1]; plain runs "
                       "attach a counting span sink, --differential "
-                      "additionally crosses RATE against sampling off")
+                      "crosses RATE (default 1) against sampling off")
         .optionUInt("--checkpoint-cycle", "N",
                     "serialize/destroy/restore the DRAM system and "
                     "checker at memory cycle N mid-run; with "
                     "--differential, crosses checkpointed runs against "
                     "straight ones and fails on any divergence")
         .flag("--differential",
-              "run every matching case through BOTH engines and fail "
-              "on any divergence")
+              "cross every matching case's sampled (and, with "
+              "--checkpoint-cycle, checkpointed) runs against its "
+              "straight run and fail on any divergence")
         .flag("--list",
               "print case names and per-case seeds, then exit")
         .flag("--quiet",
@@ -87,7 +84,6 @@ main(int argc, char **argv)
     // keeps its own per-case geometry and timing).
     SimConfig cfg;
     cfg.seed = 42;
-    cfg.engine = SimEngine::Tick;
     cfg.workload.clear();
     loadConfigFile(cli, cfg);
 
@@ -101,9 +97,6 @@ main(int argc, char **argv)
         cli.given("--workload") ? cli.str("--workload") : cfg.workload;
     std::string trace_path = cli.str("--trace-cmds");
     std::string chrome_path = cli.str("--trace-out");
-    SimEngine engine = cli.given("--engine")
-                           ? parseEngine(cli.str("--engine"))
-                           : cfg.engine;
     bool differential = cli.given("--differential");
     bool list_only = cli.given("--list");
     bool quiet = cli.given("--quiet");
@@ -112,7 +105,6 @@ main(int argc, char **argv)
                                 : cfg.obs.traceRequests;
 
     cfg.seed = base_seed;
-    cfg.engine = engine;
     cfg.workload = workload;
     cfg.obs.traceRequests = trace_requests;
     if (dumpConfigIfRequested(cli, cfg))
@@ -139,7 +131,6 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(c.seed));
             continue;
         }
-        c.engine = engine;
         c.workload = workload;
         c.traceRequests = trace_requests;
         c.checkpointAtCycle = cli.uns("--checkpoint-cycle", 0);
@@ -151,27 +142,24 @@ main(int argc, char **argv)
             if (d.ok()) {
                 if (!quiet) {
                     std::printf("ok   %-24s seed=%llu commands=%llu "
-                                "(tick == event)\n",
+                                "(crossings identical)\n",
                                 c.name.c_str(),
                                 static_cast<unsigned long long>(c.seed),
                                 static_cast<unsigned long long>(
-                                    d.tick.commands));
+                                    d.reference.commands));
                 }
                 continue;
             }
             ++failed;
             std::printf("FAIL %-24s seed=%llu%s\n", c.name.c_str(),
                         static_cast<unsigned long long>(c.seed),
-                        d.identical ? " (both engines, same failure)"
-                                    : " (engines diverge)");
+                        d.identical ? " (crossings agree, reference fails)"
+                                    : " (crossings diverge)");
             if (!d.detail.empty())
                 std::printf("     diff: %s\n", d.detail.c_str());
-            if (!d.tick.firstViolation.empty())
-                std::printf("     tick first violation: %s\n",
-                            d.tick.firstViolation.c_str());
-            if (!d.event.firstViolation.empty())
-                std::printf("     event first violation: %s\n",
-                            d.event.firstViolation.c_str());
+            if (!d.reference.firstViolation.empty())
+                std::printf("     first violation: %s\n",
+                            d.reference.firstViolation.c_str());
             std::printf("     replay: %s --seed %llu --requests %u "
                         "--differential --filter '%s'%s\n",
                         argv[0],
@@ -233,11 +221,10 @@ main(int argc, char **argv)
         if (!rep.firstViolation.empty())
             std::printf("     first: %s\n", rep.firstViolation.c_str());
         std::printf("     replay: %s --seed %llu --requests %u "
-                    "--engine %s --filter '%s'%s\n",
+                    "--filter '%s'%s\n",
                     argv[0],
                     static_cast<unsigned long long>(base_seed),
-                    requests, toString(engine), rep.name.c_str(),
-                    replay_wl.c_str());
+                    requests, rep.name.c_str(), replay_wl.c_str());
     }
 
     if (list_only)

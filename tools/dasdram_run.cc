@@ -52,9 +52,9 @@
  * after tick CYCLE ("warmup:PATH" saves right after the warm-up
  * reset); --restore PATH resumes from such a snapshot, and the resumed
  * run is bit-identical to the uninterrupted one (same stats JSONL,
- * same command-trace and span-JSONL suffix) under either engine. Both
- * flags run the point directly — no summary, and --baseline/--csv/
- * --json do not apply. --warm-dir DIR instead enables warm-start
+ * same command-trace and span-JSONL suffix). Both flags run the
+ * point directly — no summary, and --baseline/--csv/--json do not
+ * apply. --warm-dir DIR instead enables warm-start
  * sharing inside the sweep engine: each point forks from (or
  * publishes) the warmed snapshot of its config fingerprint under DIR,
  * so re-running against the same directory skips all warm-up
@@ -148,7 +148,6 @@ main(int argc, char **argv)
         .optionUInt("--instructions", "N",
                     "instructions per core (default 4000000)")
         .optionUInt("--seed", "N", "workload seed (default 42)")
-        .option("--engine", "E", "tick|event (default event)")
         .optionUInt("--jobs", "N",
                     "worker threads (default: DAS_JOBS env, else "
                     "hardware)")
@@ -204,8 +203,6 @@ main(int argc, char **argv)
         cfg.instructionsPerCore = cli.uns("--instructions", 0);
     if (cli.given("--seed"))
         cfg.seed = cli.uns("--seed", 0);
-    if (cli.given("--engine"))
-        cfg.engine = parseEngine(cli.str("--engine"));
     if (cli.given("--epoch"))
         cfg.obs.epochMemCycles = cli.uns("--epoch", 0);
     cfg.protocolCheck = cli.enabled("--check", cfg.protocolCheck);
@@ -236,6 +233,22 @@ main(int argc, char **argv)
     if (direct_only && (with_baseline || csv || cli.given("--json")))
         fatal("--checkpoint-out/--restore run the point directly; "
               "--baseline, --csv and --json do not apply");
+
+    std::string trace_path = cli.str("--trace-cmds");
+    std::string trace_out = cli.str("--trace-out");
+    std::string stats_out = cli.str("--stats-out");
+    std::string record_prefix = cli.str("--record");
+    double trace_requests = cli.dbl("--trace-requests", 0.0);
+    std::string spans_out = cli.str("--spans-out");
+    if (!spans_out.empty() && trace_requests <= 0.0)
+        fatal("--spans-out requires --trace-requests > 0");
+    if (trace_requests < 0.0 || trace_requests > 1.0)
+        fatal("--trace-requests must be in [0, 1], got {}",
+              trace_requests);
+    if (direct_only && !record_prefix.empty())
+        fatal("--record cannot be combined with --checkpoint-out/"
+              "--restore (recorder file positions are not part of a "
+              "snapshot)");
 
     if (!direct_only) {
         // Every run goes through the sweep engine; with --baseline the
@@ -270,21 +283,6 @@ main(int argc, char **argv)
         }
     }
 
-    std::string trace_path = cli.str("--trace-cmds");
-    std::string trace_out = cli.str("--trace-out");
-    std::string stats_out = cli.str("--stats-out");
-    std::string record_prefix = cli.str("--record");
-    double trace_requests = cli.dbl("--trace-requests", 0.0);
-    std::string spans_out = cli.str("--spans-out");
-    if (!spans_out.empty() && trace_requests <= 0.0)
-        fatal("--spans-out requires --trace-requests > 0");
-    if (trace_requests < 0.0 || trace_requests > 1.0)
-        fatal("--trace-requests must be in [0, 1], got {}",
-              trace_requests);
-    if (direct_only && !record_prefix.empty())
-        fatal("--record cannot be combined with --checkpoint-out/"
-              "--restore (recorder file positions are not part of a "
-              "snapshot)");
     if (cli.given("--stats") || !trace_path.empty() ||
         !trace_out.empty() || !stats_out.empty() ||
         !record_prefix.empty() || trace_requests > 0.0 || direct_only) {
