@@ -54,10 +54,8 @@ main(int argc, char **argv)
     }
 
     perf.row({"gmean",
-              benchutil::pct(
-                  ExperimentRunner::gmeanImprovement(excl_imp)),
-              benchutil::pct(
-                  ExperimentRunner::gmeanImprovement(incl_imp)),
+              benchutil::pct(gmeanImprovement(excl_imp)),
+              benchutil::pct(gmeanImprovement(incl_imp)),
               "", ""});
     perf.print({"benchmark", "exclusive", "inclusive", "PPKM(ex)",
                 "PPKM(in)"});

@@ -51,8 +51,7 @@ main(int argc, char **argv)
     }
     std::vector<std::string> gmean_row{"gmean"};
     for (std::size_t i = 0; i < 4; ++i)
-        gmean_row.push_back(
-            benchutil::pct(ExperimentRunner::gmeanImprovement(imp[i])));
+        gmean_row.push_back(benchutil::pct(gmeanImprovement(imp[i])));
     perf.row(gmean_row);
 
     perf.print({"benchmark", "8-row", "16-row", "32-row", "64-row"});

@@ -9,9 +9,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "common/log.hh"
-#include "sim/experiment.hh"
+#include "sim/sweep.hh"
 
 using namespace dasdram;
 
@@ -36,18 +37,25 @@ main(int argc, char **argv)
     std::printf("  (%llu instructions per core)\n\n",
                 static_cast<unsigned long long>(cfg.instructionsPerCore));
 
-    ExperimentRunner runner(cfg);
-    std::printf("%-14s %-10s  per-core IPC\n", "design", "speedup");
+    SweepRunner sweep(cfg);
+    std::size_t das_idx = 0;
     for (DesignKind d : allDesigns()) {
-        ExperimentResult r = runner.run(w, d);
-        std::printf("%-14s %+8.2f%%  [", toString(d).c_str(),
+        std::size_t i = sweep.add(w, d);
+        if (d == DesignKind::Das)
+            das_idx = i;
+    }
+    std::vector<ExperimentResult> results = sweep.run();
+
+    std::printf("%-14s %-10s  per-core IPC\n", "design", "speedup");
+    for (const ExperimentResult &r : results) {
+        std::printf("%-14s %+8.2f%%  [", toString(r.design).c_str(),
                     100.0 * r.perfImprovement);
         for (std::size_t i = 0; i < r.metrics.ipc.size(); ++i)
             std::printf("%s%.3f", i ? ", " : "", r.metrics.ipc[i]);
         std::printf("]\n");
     }
 
-    ExperimentResult das = runner.run(w, DesignKind::Das);
+    const ExperimentResult &das = results[das_idx];
     const RunMetrics &m = das.metrics;
     std::printf("\nDAS-DRAM behaviour: MPKI %.2f, PPKM %.2f, "
                 "footprint %.1f MiB, promotions %llu\n",

@@ -10,9 +10,10 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/log.hh"
-#include "sim/experiment.hh"
+#include "sim/sweep.hh"
 
 using namespace dasdram;
 
@@ -26,7 +27,6 @@ main(int argc, char **argv)
     cfg.instructionsPerCore = 2'000'000;
     applySimScale(cfg);
 
-    ExperimentRunner runner(cfg);
     WorkloadSpec workload = WorkloadSpec::single(bench);
     DesignKind design = parseDesign(design_name);
 
@@ -34,8 +34,14 @@ main(int argc, char **argv)
                 bench.c_str(),
                 static_cast<unsigned long long>(cfg.instructionsPerCore));
 
-    ExperimentResult std_res = runner.run(workload, DesignKind::Standard);
-    ExperimentResult res = runner.run(workload, design);
+    // Two points of one sweep: the standard-DRAM baseline and the
+    // chosen design (its improvement is computed against the former).
+    SweepRunner sweep(cfg);
+    std::size_t std_idx = sweep.add(workload, DesignKind::Standard);
+    std::size_t idx = sweep.add(workload, design);
+    std::vector<ExperimentResult> results = sweep.run();
+    const ExperimentResult &std_res = results[std_idx];
+    const ExperimentResult &res = results[idx];
 
     const RunMetrics &m = res.metrics;
     std::uint64_t total = m.locations.total();

@@ -13,7 +13,6 @@
 #include "common/strfmt.hh"
 #include "core/static_profile.hh"
 #include "dram/address_mapping.hh"
-#include "workload/trace_file.hh"
 
 namespace dasdram
 {
@@ -37,61 +36,47 @@ fileExists(const std::string &path)
     return std::ifstream(path, std::ios::binary).good();
 }
 
-} // namespace
-
-RunMetrics
-runSimulation(const WorkloadSpec &workload, const SimConfig &cfg_in,
-              const std::string &record_prefix,
-              const std::string &warm_dir)
+/** @p cfg as run for @p workload: core count and run identity. */
+SimConfig
+pointConfig(const WorkloadSpec &workload, SimConfig cfg)
 {
-    SimConfig cfg = cfg_in;
     cfg.numCores = workload.numCores();
     cfg.obs.workloadName = workload.name;
+    return cfg;
+}
+
+} // namespace
+
+PreparedRun
+prepareRun(const WorkloadSpec &workload, const SimConfig &cfg_in,
+           const std::string &record_prefix,
+           const std::string &restore_path)
+{
+    const SimConfig cfg = pointConfig(workload, cfg_in);
 
     // Deterministic per-(workload, core) traces.
-    auto traces = buildTraces(workload, cfg.seed, cfg.geom.rowBytes,
-                              cfg.geom.lineBytes);
-    std::vector<std::unique_ptr<TraceRecorder>> recorders;
+    PreparedRun run;
+    run.traces = buildTraces(workload, cfg.seed, cfg.geom.rowBytes,
+                             cfg.geom.lineBytes);
     std::vector<TraceSource *> trace_ptrs;
     for (unsigned i = 0; i < cfg.numCores; ++i) {
-        TraceSource *src = traces[i].get();
+        TraceSource *src = run.traces[i].get();
         if (!record_prefix.empty()) {
-            recorders.push_back(std::make_unique<TraceRecorder>(
+            run.recorders.push_back(std::make_unique<TraceRecorder>(
                 *src,
                 formatStr("{}.core{}.dastrace", record_prefix, i)));
-            src = recorders.back().get();
+            src = run.recorders.back().get();
         }
         trace_ptrs.push_back(src);
     }
 
-    System sys(cfg, trace_ptrs);
+    run.system = std::make_unique<System>(cfg, trace_ptrs);
+    System &sys = *run.system;
 
-    // Warm-start: fork from the shared warmed snapshot of this config
-    // fingerprint if one exists, else publish ours once warm-up
-    // completes. The temp-file + rename dance keeps concurrent points
-    // with the same fingerprint safe: renames are atomic and every
-    // writer produces identical bytes (the snapshot is deterministic).
-    std::string warm_path, warm_tmp;
-    bool restoring = false;
-    if (!warm_dir.empty()) {
-        if (!record_prefix.empty())
-            fatal("trace recording cannot be combined with warm-start "
-                  "checkpoints (recorder file positions are not part "
-                  "of a snapshot)");
-        if (::mkdir(warm_dir.c_str(), 0777) != 0 && errno != EEXIST)
-            fatal("cannot create warm-start directory '{}'", warm_dir);
-        warm_path = warmCheckpointPath(warm_dir, configFingerprint(cfg));
-        restoring = fileExists(warm_path);
-        if (!restoring) {
-            static std::atomic<unsigned> tmp_seq{0};
-            warm_tmp = formatStr("{}.tmp{}", warm_path,
-                                 tmp_seq.fetch_add(1));
-            sys.checkpointAtWarmup(warm_tmp);
-        }
-    }
-
-    const DesignSpec &spec = designSpec(cfg.design);
-    if (spec.needsProfiling && !restoring) {
+    if (!restore_path.empty()) {
+        // The snapshot already holds the static profile.
+        sys.loadSnapshot(restore_path);
+    } else if (designSpec(cfg.design).needsProfiling) {
         // Profiling pass over the same instruction window (Section 7:
         // workloads are profiled first for the static baselines).
         AddressMapper mapper(cfg.geom);
@@ -106,15 +91,47 @@ runSimulation(const WorkloadSpec &workload, const SimConfig &cfg_in,
         }
         profiler.assign(sys.manager().table());
     }
+    return run;
+}
 
-    if (restoring)
-        sys.loadSnapshot(warm_path);
+RunMetrics
+runSimulation(const WorkloadSpec &workload, const SimConfig &cfg,
+              const std::string &record_prefix,
+              const std::string &warm_dir)
+{
+    // Warm-start: fork from the shared warmed snapshot of this config
+    // fingerprint if one exists, else publish ours once warm-up
+    // completes. The temp-file + rename dance keeps concurrent points
+    // with the same fingerprint safe: renames are atomic and every
+    // writer produces identical bytes (the snapshot is deterministic).
+    std::string warm_path;
+    bool restoring = false;
+    if (!warm_dir.empty()) {
+        if (!record_prefix.empty())
+            fatal("trace recording cannot be combined with warm-start "
+                  "checkpoints (recorder file positions are not part "
+                  "of a snapshot)");
+        if (::mkdir(warm_dir.c_str(), 0777) != 0 && errno != EEXIST)
+            fatal("cannot create warm-start directory '{}'", warm_dir);
+        warm_path = warmCheckpointPath(
+            warm_dir, configFingerprint(pointConfig(workload, cfg)));
+        restoring = fileExists(warm_path);
+    }
 
-    RunMetrics metrics = sys.run();
+    PreparedRun run = prepareRun(workload, cfg, record_prefix,
+                                 restoring ? warm_path : "");
+    std::string warm_tmp;
+    if (!warm_path.empty() && !restoring) {
+        static std::atomic<unsigned> tmp_seq{0};
+        warm_tmp = formatStr("{}.tmp{}", warm_path, tmp_seq.fetch_add(1));
+        run.system->checkpointAtWarmup(warm_tmp);
+    }
+
+    RunMetrics metrics = run.system->run();
     if (!warm_tmp.empty() &&
         std::rename(warm_tmp.c_str(), warm_path.c_str()) != 0)
         fatal("cannot publish warm-start checkpoint '{}'", warm_path);
-    for (auto &rec : recorders)
+    for (auto &rec : run.recorders)
         rec->close();
     return metrics;
 }
@@ -133,78 +150,8 @@ weightedSpeedupImprovement(const RunMetrics &metrics,
     return sum / static_cast<double>(metrics.ipc.size()) - 1.0;
 }
 
-ExperimentRunner::ExperimentRunner(SimConfig base) : base_(std::move(base))
-{
-}
-
-RunMetrics
-ExperimentRunner::runRaw(const WorkloadSpec &workload,
-                         const SimConfig &cfg_in)
-{
-    return runSimulation(workload, cfg_in, "", warmDir_);
-}
-
-void
-ExperimentRunner::invalidateBaselines()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    baselines_.clear();
-}
-
-RunMetrics
-ExperimentRunner::baseline(const WorkloadSpec &workload)
-{
-    std::promise<RunMetrics> promise;
-    std::shared_future<RunMetrics> future;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = baselines_.find(workload.name);
-        if (it != baselines_.end()) {
-            future = it->second;
-        } else {
-            future = promise.get_future().share();
-            baselines_.emplace(workload.name, future);
-            owner = true;
-        }
-    }
-    if (owner) {
-        // Computed outside the lock so other workloads' baselines can
-        // progress; late arrivals for this workload block on the
-        // future. An invalidate between insert and set_value only
-        // drops the memo entry — the shared state stays alive through
-        // the futures already handed out.
-        SimConfig cfg = base_;
-        cfg.design = DesignKind::Standard;
-        promise.set_value(runSimulation(workload, cfg, "", warmDir_));
-    }
-    return future.get();
-}
-
-ExperimentResult
-ExperimentRunner::run(const WorkloadSpec &workload, DesignKind design)
-{
-    RunMetrics base = baseline(workload);
-
-    ExperimentResult res;
-    res.workload = workload.name;
-    res.design = design;
-    res.seed = base_.seed;
-    if (design == DesignKind::Standard) {
-        res.metrics = base;
-    } else {
-        SimConfig cfg = base_;
-        cfg.design = design;
-        res.metrics = runSimulation(workload, cfg, "", warmDir_);
-    }
-
-    res.perfImprovement = weightedSpeedupImprovement(res.metrics, base);
-    res.energyPerAccessNj = res.metrics.energy.perAccessNj(energyParams_);
-    return res;
-}
-
 double
-ExperimentRunner::gmeanImprovement(const std::vector<double> &improvements)
+gmeanImprovement(const std::vector<double> &improvements)
 {
     if (improvements.empty())
         return 0.0;

@@ -1,27 +1,23 @@
 /**
  * @file
- * Experiment driver: builds workloads (single benchmarks or Table 2
- * mixes), runs them on a DRAM design — including the profiling pass the
- * static baselines need — and reports paper-style metrics relative to
- * the standard-DRAM baseline.
- *
- * ExperimentRunner is safe for concurrent run()/runRaw() calls from
- * multiple threads: the standard-DRAM baseline of each workload is
- * computed exactly once behind a mutex-guarded memo and shared. See
- * SweepRunner (sim/sweep.hh) for the parallel grid driver built on
- * top of this.
+ * Setting up and running one simulation point: builds the workload's
+ * traces (single benchmarks, Table 2 mixes or trace files) and the
+ * System, runs the profiling pre-pass the static designs need, and
+ * runs the point. prepareRun() is the one place a point is set up;
+ * runSimulation() (used by SweepRunner, sim/sweep.hh) and
+ * dasdram_run's direct run both go through it. Improvement metrics
+ * relative to the standard-DRAM baseline are computed here too.
  */
 
 #ifndef DASDRAM_SIM_EXPERIMENT_HH
 #define DASDRAM_SIM_EXPERIMENT_HH
 
-#include <future>
-#include <map>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/system.hh"
+#include "workload/trace_file.hh"
 #include "workload/workload_spec.hh"
 
 namespace dasdram
@@ -33,7 +29,7 @@ struct ExperimentResult
     std::string workload;
     DesignKind design = DesignKind::Standard;
     std::string label;      ///< sweep tag, e.g. "th=4" (may be empty)
-    std::uint64_t seed = 0; ///< effective per-point seed (0: base seed)
+    std::uint64_t seed = 0; ///< SweepRunner::pointSeed of the point
     RunMetrics metrics;
 
     /**
@@ -48,17 +44,42 @@ struct ExperimentResult
 };
 
 /**
- * Run @p workload on the exact configuration @p cfg (design field
- * honoured, numCores taken from the workload): trace construction,
- * the profiling pass for static designs, and the timed run. This is a
- * pure function of its arguments — the foundation of the sweep
- * engine's determinism guarantee — and is safe to call from many
- * threads at once (each call owns its System).
+ * A simulation point ready to run. The System reads the traces (or the
+ * recorders wrapping them), so it is declared last and destroyed first.
+ */
+struct PreparedRun
+{
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    /** One per core when recording, else empty. close() after run(). */
+    std::vector<std::unique_ptr<TraceRecorder>> recorders;
+    std::unique_ptr<System> system;
+};
+
+/**
+ * Set up @p workload on the exact configuration @p cfg (design field
+ * honoured, numCores and obs.workloadName taken from the workload):
+ * deterministic per-core traces from cfg.seed, and the System.
  *
  * With a non-empty @p record_prefix every core's delivered trace is
  * captured to `<prefix>.core<i>.dastrace` (binary format) for later
  * `file:` replay; the static-design profiling pre-pass is excluded
  * from the capture, so replaying reproduces the measured run exactly.
+ *
+ * With a non-empty @p restore_path the System resumes from that
+ * snapshot (System::loadSnapshot), which already holds the static
+ * profile; otherwise designs that need one get the profiling pre-pass
+ * over the same instruction window. Callers do not combine recording
+ * with restoring: recorder file positions are not part of a snapshot.
+ */
+PreparedRun prepareRun(const WorkloadSpec &workload, const SimConfig &cfg,
+                       const std::string &record_prefix = "",
+                       const std::string &restore_path = "");
+
+/**
+ * Set up (prepareRun) and run @p workload on @p cfg. This is a pure
+ * function of its arguments — the foundation of the sweep engine's
+ * determinism guarantee — and is safe to call from many threads at
+ * once (each call owns its System).
  *
  * With a non-empty @p warm_dir the run participates in warm-start
  * checkpoint sharing: the directory holds one warmed snapshot per
@@ -69,8 +90,7 @@ struct ExperimentResult
  * simulates only the measured window; otherwise the run executes
  * normally and publishes its post-warm-up state for later runs.
  * Either way the metrics are bit-identical to a cold run. Not
- * combinable with @p record_prefix (recorder file positions are not
- * snapshotted).
+ * combinable with @p record_prefix.
  */
 RunMetrics runSimulation(const WorkloadSpec &workload,
                          const SimConfig &cfg,
@@ -81,68 +101,22 @@ RunMetrics runSimulation(const WorkloadSpec &workload,
 double weightedSpeedupImprovement(const RunMetrics &metrics,
                                   const RunMetrics &baseline);
 
+/** Geometric mean of (1 + improvement) minus 1 over @p improvements. */
+double gmeanImprovement(const std::vector<double> &improvements);
+
 /**
- * Runs experiments against a fixed base configuration, caching the
- * standard-DRAM baseline per workload so sweeps share it.
- *
- * Thread-safety contract: run(), runRaw() and invalidateBaselines()
- * may be called concurrently. baseConfig() returns a mutable
- * reference and is NOT synchronised — mutate it only while no run is
- * in flight, and call invalidateBaselines() afterwards if the change
- * affects standard-DRAM behaviour (instruction budget, warm-up, seed,
- * geometry, caches...). Mutating it WITHOUT invalidating keeps
- * serving the previously cached baselines — a documented footgun
- * (see tests/sim/test_experiment_concurrency.cc) that the figure
- * benches exploit deliberately for DAS-only knobs such as
- * das.promotion.threshold, which standard DRAM ignores.
+ * Leftover of the removed single-point driver: the benchmark driver
+ * (perfbench/perfbench_run.cc) still calls
+ * ExperimentRunner::gmeanImprovement. New code calls the free
+ * function above.
  */
-class ExperimentRunner
+struct ExperimentRunner
 {
-  public:
-    explicit ExperimentRunner(SimConfig base);
-
-    /**
-     * Run @p workload on @p design using the base configuration with
-     * the design applied. Runs (and caches) the standard baseline for
-     * the workload first if needed.
-     */
-    ExperimentResult run(const WorkloadSpec &workload, DesignKind design);
-
-    /** Same, with explicit configuration (design field is honoured). */
-    RunMetrics runRaw(const WorkloadSpec &workload, const SimConfig &cfg);
-
-    /**
-     * The base configuration (mutable for sweeps between runs). Not
-     * synchronised — see the class comment.
-     */
-    SimConfig &baseConfig() { return base_; }
-
-    /** Forget cached baselines (call after mutating the base config). */
-    void invalidateBaselines();
-
-    /**
-     * Enable warm-start checkpoint sharing: every run forks from (or
-     * publishes) the warmed snapshot of its config fingerprint under
-     * @p dir. See runSimulation(). Set only while no run is in flight.
-     */
-    void setWarmStartDir(std::string dir) { warmDir_ = std::move(dir); }
-
-    /** Geometric mean of (1 + improvement) minus 1 over results. */
-    static double gmeanImprovement(const std::vector<double> &improvements);
-
-  private:
-    /**
-     * Standard-DRAM metrics of @p workload, computed at most once per
-     * workload name. Returns by value: the memo may be invalidated
-     * concurrently, so references into it would dangle.
-     */
-    RunMetrics baseline(const WorkloadSpec &workload);
-
-    SimConfig base_;
-    std::string warmDir_; ///< warm-start checkpoint dir (empty: off)
-    std::mutex mutex_; ///< guards baselines_ (the map, not the runs)
-    std::map<std::string, std::shared_future<RunMetrics>> baselines_;
-    EnergyParams energyParams_{};
+    static double
+    gmeanImprovement(const std::vector<double> &improvements)
+    {
+        return dasdram::gmeanImprovement(improvements);
+    }
 };
 
 } // namespace dasdram

@@ -1,5 +1,6 @@
 #include "sim_config.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <set>
 
@@ -29,10 +30,9 @@ applySimScale(SimConfig &cfg)
         return 1.0;
     char *end = nullptr;
     double factor = std::strtod(env, &end);
-    if (end == env || factor <= 0.0) {
-        warn("ignoring invalid DAS_SIM_SCALE='{}'", env);
-        return 1.0;
-    }
+    if (end == env || *end != '\0' || !(factor > 0.0) ||
+        !std::isfinite(factor))
+        fatal("DAS_SIM_SCALE='{}' is not a positive number", env);
     cfg.instructionsPerCore = static_cast<InstCount>(
         static_cast<double>(cfg.instructionsPerCore) * factor);
     if (cfg.instructionsPerCore < 100'000)

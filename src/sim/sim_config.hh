@@ -80,10 +80,11 @@ struct ObservabilityConfig
 struct SimConfig
 {
     /**
-     * Workload spec string (workload/workload_spec.hh grammar). The
-     * experiment layer and the System(const SimConfig &) constructor
-     * parse it and derive numCores from the part count; callers that
-     * pass explicit traces may leave it untouched.
+     * Workload spec string (workload/workload_spec.hh grammar).
+     * The tools parse it into the WorkloadSpec they run, and
+     * prepareRun (sim/experiment.hh) derives numCores from that
+     * spec's part count. System never reads it: it runs the traces
+     * it is given.
      */
     std::string workload = "mcf";
 
@@ -150,7 +151,8 @@ struct SimConfig
 /**
  * Apply the environment scale factor DAS_SIM_SCALE (a positive double)
  * to @p cfg's instruction target; used by tests and benches to trade
- * fidelity for speed. Returns the factor applied.
+ * fidelity for speed. Returns the factor applied (1 when unset); a
+ * malformed, zero or negative value is fatal.
  */
 double applySimScale(SimConfig &cfg);
 

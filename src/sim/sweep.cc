@@ -1,8 +1,10 @@
 #include "sweep.hh"
 
 #include <atomic>
+#include <cctype>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <ostream>
 #include <thread>
 
@@ -80,11 +82,14 @@ SweepRunner::resolveJobs(unsigned requested)
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("DAS_JOBS")) {
+        // Digits only: strtoul would accept a sign or leading blanks.
         char *end = nullptr;
         unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<unsigned>(v);
-        warn("ignoring invalid DAS_JOBS='{}'", env);
+        if (!std::isdigit(static_cast<unsigned char>(env[0])) ||
+            *end != '\0' || v == 0 ||
+            v > std::numeric_limits<unsigned>::max())
+            fatal("DAS_JOBS='{}' is not a positive integer", env);
+        return static_cast<unsigned>(v);
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

@@ -108,9 +108,9 @@ class SweepRunner
 
     /**
      * Effective worker count for a requested value: @p requested if
-     * non-zero, else the DAS_JOBS environment variable (positive
-     * integer), else std::thread::hardware_concurrency(), floored
-     * at 1.
+     * non-zero, else the DAS_JOBS environment variable (a positive
+     * integer; anything else is fatal), else
+     * std::thread::hardware_concurrency(), floored at 1.
      */
     static unsigned resolveJobs(unsigned requested);
 

@@ -6,49 +6,9 @@
 #include "common/binfmt.hh"
 #include "common/log.hh"
 #include "common/stats_jsonl.hh"
-#include "workload/workload_spec.hh"
 
 namespace dasdram
 {
-
-namespace
-{
-
-std::vector<TraceSource *>
-rawPointers(const std::vector<std::unique_ptr<TraceSource>> &owned)
-{
-    std::vector<TraceSource *> ptrs;
-    ptrs.reserve(owned.size());
-    for (const auto &t : owned)
-        ptrs.push_back(t.get());
-    return ptrs;
-}
-
-/** cfg with numCores forced to the workload spec's part count. */
-SimConfig
-withSpecCores(SimConfig cfg)
-{
-    cfg.numCores = WorkloadSpec::parse(cfg.workload).numCores();
-    return cfg;
-}
-
-} // namespace
-
-System::System(const SimConfig &cfg,
-               std::vector<std::unique_ptr<TraceSource>> traces)
-    : System(cfg, rawPointers(traces))
-{
-    ownedTraces_ = std::move(traces);
-}
-
-System::System(const SimConfig &cfg)
-    : System(withSpecCores(cfg), [&cfg] {
-          WorkloadSpec w = WorkloadSpec::parse(cfg.workload);
-          return buildTraces(w, cfg.seed, cfg.geom.rowBytes,
-                             cfg.geom.lineBytes);
-      }())
-{
-}
 
 System::System(const SimConfig &cfg, std::vector<TraceSource *> traces)
     : cfg_(cfg), traces_(std::move(traces)), statGroup_("system")

@@ -92,20 +92,6 @@ class System
      */
     System(const SimConfig &cfg, std::vector<TraceSource *> traces);
 
-    /**
-     * Owning variant: the system keeps @p traces alive for its own
-     * lifetime (one per core).
-     */
-    System(const SimConfig &cfg,
-           std::vector<std::unique_ptr<TraceSource>> traces);
-
-    /**
-     * Build the workload from cfg.workload (the workload-spec grammar):
-     * parses the spec, builds one trace per part and owns them.
-     * numCores is taken from the spec, not cfg.numCores.
-     */
-    explicit System(const SimConfig &cfg);
-
     ~System();
 
     System(const System &) = delete;
@@ -286,7 +272,6 @@ class System
     SpanJsonlMeta spanMeta() const;
 
     SimConfig cfg_;
-    std::vector<std::unique_ptr<TraceSource>> ownedTraces_;
     std::vector<TraceSource *> traces_;
 
     std::unique_ptr<RowClassifier> classifier_;

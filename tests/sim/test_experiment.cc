@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests for the experiment driver: workload construction, baseline
- * caching and improvement arithmetic.
+ * Tests for the experiment layer: workload construction, point setup
+ * (prepareRun) and improvement arithmetic.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
+#include "metrics_equal.hh"
+#include "sim/sweep.hh"
 
 using namespace dasdram;
 
@@ -34,53 +35,44 @@ TEST(WorkloadSpec, SingleAndMix)
     EXPECT_DEATH(WorkloadSpec::mix(8), "out of range");
 }
 
-TEST(ExperimentRunner, StandardBaselineHasZeroImprovement)
+TEST(Experiment, GmeanImprovement)
 {
-    ExperimentRunner runner(quickConfig());
-    ExperimentResult r =
-        runner.run(WorkloadSpec::single("omnetpp"), DesignKind::Standard);
-    EXPECT_NEAR(r.perfImprovement, 0.0, 1e-9);
-    EXPECT_GT(r.energyPerAccessNj, 0.0);
-}
-
-TEST(ExperimentRunner, FsImprovementPositive)
-{
-    ExperimentRunner runner(quickConfig());
-    ExperimentResult r =
-        runner.run(WorkloadSpec::single("omnetpp"), DesignKind::Fs);
-    EXPECT_GT(r.perfImprovement, 0.0);
-}
-
-TEST(ExperimentRunner, GmeanImprovement)
-{
-    EXPECT_NEAR(ExperimentRunner::gmeanImprovement({0.1, 0.1}), 0.1,
-                1e-9);
-    EXPECT_NEAR(ExperimentRunner::gmeanImprovement({}), 0.0, 1e-12);
+    EXPECT_NEAR(gmeanImprovement({0.1, 0.1}), 0.1, 1e-9);
+    EXPECT_NEAR(gmeanImprovement({}), 0.0, 1e-12);
     // gmean of (1.21, 1.0) = 1.1.
-    EXPECT_NEAR(ExperimentRunner::gmeanImprovement({0.21, 0.0}), 0.1,
-                1e-3);
+    EXPECT_NEAR(gmeanImprovement({0.21, 0.0}), 0.1, 1e-3);
 }
 
-TEST(ExperimentRunner, StaticDesignGetsProfiledTable)
+TEST(Experiment, StaticDesignGetsProfiledTable)
 {
     // A SAS run must complete and produce sane metrics (the profiling
-    // pass runs inside runRaw).
-    ExperimentRunner runner(quickConfig());
-    ExperimentResult r =
-        runner.run(WorkloadSpec::single("omnetpp"), DesignKind::Sas);
-    EXPECT_GT(r.metrics.ipc[0], 0.0);
-    EXPECT_EQ(r.metrics.promotions, 0u); // static never migrates
+    // pass runs inside prepareRun).
+    SimConfig cfg = quickConfig();
+    cfg.design = DesignKind::Sas;
+    RunMetrics m = runSimulation(WorkloadSpec::single("omnetpp"), cfg);
+    EXPECT_GT(m.ipc[0], 0.0);
+    EXPECT_EQ(m.promotions, 0u); // static never migrates
 }
 
-TEST(ExperimentRunner, ResultsDeterministicAcrossRunners)
+TEST(Experiment, DirectSetupMatchesSweepPoint)
 {
-    ExperimentRunner a(quickConfig()), b(quickConfig());
-    ExperimentResult ra =
-        a.run(WorkloadSpec::single("mcf"), DesignKind::Das);
-    ExperimentResult rb =
-        b.run(WorkloadSpec::single("mcf"), DesignKind::Das);
-    EXPECT_DOUBLE_EQ(ra.metrics.ipc[0], rb.metrics.ipc[0]);
-    EXPECT_EQ(ra.metrics.promotions, rb.metrics.promotions);
+    // dasdram_run's direct run (--stats, --stats-out, the traces, the
+    // snapshots) promises dumps that match its summary: prepareRun +
+    // run() with the point's seed must reproduce the sweep point
+    // bit for bit, static-profile designs included.
+    WorkloadSpec w = WorkloadSpec::single("mcf");
+    for (DesignKind d : allDesigns()) {
+        SCOPED_TRACE(toString(d));
+        SweepRunner sweep(quickConfig(), 1);
+        sweep.add(SweepPoint{w, d, {}, {}, /*needBaseline=*/false});
+        RunMetrics swept = sweep.run().at(0).metrics;
+
+        SimConfig cfg = quickConfig();
+        cfg.design = d;
+        cfg.seed = SweepRunner::pointSeed(cfg.seed, w.name, d);
+        PreparedRun run = prepareRun(w, cfg);
+        expectMetricsExactlyEqual(run.system->run(), swept);
+    }
 }
 
 TEST(RunMetrics, DerivedQuantities)

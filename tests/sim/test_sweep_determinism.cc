@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 
+#include "metrics_equal.hh"
 #include "sim/sweep.hh"
 
 using namespace dasdram;
@@ -37,29 +38,6 @@ runSweep(unsigned jobs)
               [](SimConfig &c) { c.das.promotion.threshold = 4; },
               "th=4");
     return sweep.run();
-}
-
-void
-expectMetricsExactlyEqual(const RunMetrics &a, const RunMetrics &b)
-{
-    ASSERT_EQ(a.ipc.size(), b.ipc.size());
-    for (std::size_t i = 0; i < a.ipc.size(); ++i)
-        EXPECT_EQ(a.ipc[i], b.ipc[i]); // bitwise, not NEAR
-    EXPECT_EQ(a.cpuCycles, b.cpuCycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.llcMisses, b.llcMisses);
-    EXPECT_EQ(a.locations.rowBuffer, b.locations.rowBuffer);
-    EXPECT_EQ(a.locations.fastLevel, b.locations.fastLevel);
-    EXPECT_EQ(a.locations.slowLevel, b.locations.slowLevel);
-    EXPECT_EQ(a.promotions, b.promotions);
-    EXPECT_EQ(a.memAccesses, b.memAccesses);
-    EXPECT_EQ(a.footprintRows, b.footprintRows);
-    EXPECT_EQ(a.energy.actsSlow, b.energy.actsSlow);
-    EXPECT_EQ(a.energy.actsFast, b.energy.actsFast);
-    EXPECT_EQ(a.energy.reads, b.energy.reads);
-    EXPECT_EQ(a.energy.writes, b.energy.writes);
-    EXPECT_EQ(a.energy.refreshes, b.energy.refreshes);
-    EXPECT_EQ(a.energy.swaps, b.energy.swaps);
 }
 
 } // namespace
@@ -111,6 +89,7 @@ TEST(SweepDeterminism, StandardPointsReportZeroImprovement)
     sweep.add(WorkloadSpec::single("omnetpp"), DesignKind::Fs);
     auto results = sweep.run();
     EXPECT_DOUBLE_EQ(results[0].perfImprovement, 0.0);
+    EXPECT_GT(results[0].energyPerAccessNj, 0.0);
     EXPECT_GT(results[1].perfImprovement, 0.0);
 }
 
@@ -131,9 +110,19 @@ TEST(SweepDeterminism, ResolveJobsHonoursEnvAndRequest)
     EXPECT_EQ(SweepRunner::resolveJobs(0), 5u);
     EXPECT_EQ(SweepRunner::resolveJobs(2), 2u); // explicit wins
 
-    ::setenv("DAS_JOBS", "bogus", 1);
-    EXPECT_GE(SweepRunner::resolveJobs(0), 1u); // falls back, >= 1
-
     ::unsetenv("DAS_JOBS");
     EXPECT_GE(SweepRunner::resolveJobs(0), 1u);
+
+    // A malformed value is fatal, not a silent fall-back to all cores
+    // (the death-test child sets the variable; this process keeps it
+    // unset).
+    for (const char *bad : {"bogus", "0", "-2", "4x"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_DEATH(
+            {
+                ::setenv("DAS_JOBS", bad, 1);
+                SweepRunner::resolveJobs(0);
+            },
+            "DAS_JOBS=.* is not a positive integer");
+    }
 }

@@ -177,13 +177,18 @@ TEST(SimConfig, SimScaleEnvOverride)
     EXPECT_EQ(cfg.instructionsPerCore, 500'000u);
 }
 
-TEST(SimConfig, SimScaleInvalidIgnored)
+TEST(SimConfig, SimScaleMalformedFatal)
 {
-    SimConfig cfg;
-    cfg.instructionsPerCore = 1'000'000;
-    setenv("DAS_SIM_SCALE", "banana", 1);
-    double f = applySimScale(cfg);
-    unsetenv("DAS_SIM_SCALE");
-    EXPECT_DOUBLE_EQ(f, 1.0);
-    EXPECT_EQ(cfg.instructionsPerCore, 1'000'000u);
+    // A malformed scale is fatal, not a silent full-scale run (the
+    // death-test child sets the variable; this process never does).
+    for (const char *bad : {"banana", "abc", "0", "-1", "0.5x"}) {
+        SCOPED_TRACE(bad);
+        SimConfig cfg;
+        EXPECT_DEATH(
+            {
+                setenv("DAS_SIM_SCALE", bad, 1);
+                applySimScale(cfg);
+            },
+            "DAS_SIM_SCALE=.* is not a positive number");
+    }
 }

@@ -61,6 +61,8 @@
  * re-simulation bit-identically.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -74,7 +76,6 @@
 #include "sim/config_cli.hh"
 #include "sim/experiment.hh"
 #include "sim/sweep.hh"
-#include "workload/trace_file.hh"
 
 using namespace dasdram;
 
@@ -288,32 +289,19 @@ main(int argc, char **argv)
         !record_prefix.empty() || trace_requests > 0.0 || direct_only) {
         // Re-run with direct System access for the stats tree, the
         // command trace, the observability exports and/or the trace
-        // recording, using the same effective seed as the sweep point
-        // above so the dumps match the summary.
+        // recording. prepareRun is the sweep point's own setup (static
+        // profile included) and the seed is the sweep point's, so the
+        // dumps match the summary.
         SimConfig scfg = cfg;
         scfg.design = kind;
         scfg.seed = SweepRunner::pointSeed(cfg.seed, w.name, kind);
-        scfg.numCores = w.numCores();
-        scfg.obs.workloadName = w.name;
         scfg.obs.statsOut = stats_out;
         scfg.obs.traceOut = trace_out;
         scfg.obs.traceRequests = trace_requests;
         scfg.obs.spansOut = spans_out;
-        auto traces = buildTraces(w, scfg.seed, scfg.geom.rowBytes,
-                                  scfg.geom.lineBytes);
-        std::vector<std::unique_ptr<TraceRecorder>> recorders;
-        std::vector<TraceSource *> ptrs;
-        for (unsigned i = 0; i < scfg.numCores; ++i) {
-            TraceSource *src = traces[i].get();
-            if (!record_prefix.empty()) {
-                recorders.push_back(std::make_unique<TraceRecorder>(
-                    *src, formatStr("{}.core{}.dastrace",
-                                    record_prefix, i)));
-                src = recorders.back().get();
-            }
-            ptrs.push_back(src);
-        }
-        System sys(scfg, ptrs);
+        PreparedRun run =
+            prepareRun(w, scfg, record_prefix, restore_path);
+        System &sys = *run.system;
         std::ofstream trace_os;
         if (!trace_path.empty()) {
             trace_os.open(trace_path);
@@ -321,8 +309,6 @@ main(int argc, char **argv)
                 fatal("cannot open '{}' for writing", trace_path);
             sys.attachCommandTrace(trace_os);
         }
-        if (!restore_path.empty())
-            sys.loadSnapshot(restore_path);
         for (const std::string &spec : checkpoint_specs) {
             std::size_t colon = spec.find(':');
             if (colon == std::string::npos || colon + 1 == spec.size())
@@ -334,16 +320,20 @@ main(int argc, char **argv)
             if (when == "warmup") {
                 sys.checkpointAtWarmup(path);
             } else {
+                // strtoull accepts a sign and leading blanks ("-5"
+                // wraps to a huge tick): digits only, in range.
                 char *end = nullptr;
+                errno = 0;
                 unsigned long long tick =
                     std::strtoull(when.c_str(), &end, 10);
-                if (end == when.c_str() || *end != '\0')
+                if (!std::isdigit(static_cast<unsigned char>(when[0])) ||
+                    *end != '\0' || errno == ERANGE)
                     fatal("bad --checkpoint-out cycle '{}'", when);
                 sys.scheduleCheckpoint(tick, path);
             }
         }
         sys.run();
-        for (auto &rec : recorders) {
+        for (auto &rec : run.recorders) {
             rec->close();
             inform("recorded {} trace record(s)", rec->recorded());
         }
