@@ -58,7 +58,7 @@ MshrFile::serdeState(Archive &ar)
 {
     ar.section("mshr");
     std::uint64_t n = entries_.size();
-    ar.io(n);
+    ar.ioCount(n);
     if (ar.saving()) {
         std::vector<Addr> lines;
         lines.reserve(entries_.size());
@@ -69,7 +69,7 @@ MshrFile::serdeState(Archive &ar)
             ar.io(line);
             auto &waiters = entries_.at(line);
             std::uint64_t w = waiters.size();
-            ar.io(w);
+            ar.ioCount(w);
             for (Continuation &c : waiters)
                 c.serdeState(ar);
         }
@@ -79,7 +79,7 @@ MshrFile::serdeState(Archive &ar)
             Addr line = 0;
             ar.io(line);
             std::uint64_t w = 0;
-            ar.io(w);
+            ar.ioCount(w);
             std::vector<Continuation> waiters(
                 static_cast<std::size_t>(w));
             for (Continuation &c : waiters)

@@ -123,7 +123,7 @@ EpochSeries::serdeState(Archive &ar)
     ar.expectCount(names_.size(), "epoch-series tracked stats");
     ar.io(prev_);
     std::uint64_t n = epochs_.size();
-    ar.io(n);
+    ar.ioCount(n);
     if (ar.loading())
         epochs_.resize(static_cast<std::size_t>(n));
     for (Epoch &e : epochs_) {

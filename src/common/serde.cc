@@ -1,6 +1,9 @@
 #include "serde.hh"
 
-#include "common/binfmt.hh"
+#include <algorithm>
+#include <cstdlib>
+#include <new>
+
 #include "common/log.hh"
 
 namespace dasdram
@@ -8,22 +11,30 @@ namespace dasdram
 
 Archive::Archive() : saving_(true) {}
 
-Archive::Archive(std::vector<unsigned char> payload)
-    : saving_(false), buf_(std::move(payload))
+Archive::Archive(std::span<const unsigned char> payload)
+    : saving_(false), in_(payload.data()), end_(payload.size())
 {
 }
 
+Archive::~Archive() { std::free(out_); }
+
 void
-Archive::raw64(std::uint64_t &v)
+Archive::grow(std::size_t n)
 {
-    if (saving_) {
-        binfmt::appendLe(buf_, v, 8);
-        return;
-    }
-    if (pos_ + 8 > buf_.size())
-        fatal("snapshot stream truncated mid-field (offset {})", pos_);
-    v = binfmt::getLe(buf_.data() + pos_, 8);
-    pos_ += 8;
+    // Doubling keeps appends amortised O(1); realloc can move a large
+    // buffer by remapping its pages instead of copying them.
+    std::size_t cap = std::max({end_ * 2, pos_ + n, std::size_t{1} << 16});
+    auto *p = static_cast<unsigned char *>(std::realloc(out_, cap));
+    if (!p)
+        throw std::bad_alloc();
+    out_ = p;
+    end_ = cap;
+}
+
+void
+Archive::truncated(const char *what) const
+{
+    fatal("snapshot stream truncated mid-{} (offset {})", what, pos_);
 }
 
 void
@@ -32,28 +43,23 @@ Archive::io(std::string &s)
     std::uint64_t n = s.size();
     raw64(n);
     if (saving_) {
-        buf_.insert(buf_.end(), s.begin(), s.end());
+        if (n > 0)
+            std::memcpy(claim(n), s.data(), n);
         return;
     }
-    if (pos_ + n > buf_.size())
-        fatal("snapshot stream truncated mid-string (offset {})", pos_);
-    s.assign(reinterpret_cast<const char *>(buf_.data()) + pos_,
-             static_cast<std::size_t>(n));
-    pos_ += static_cast<std::size_t>(n);
+    const unsigned char *p = consume(n, "string");
+    s.assign(reinterpret_cast<const char *>(p), static_cast<std::size_t>(n));
 }
 
 void
 Archive::blob(void *p, std::size_t n)
 {
-    if (saving_) {
-        const auto *b = static_cast<const unsigned char *>(p);
-        buf_.insert(buf_.end(), b, b + n);
+    if (n == 0)
         return;
-    }
-    if (pos_ + n > buf_.size())
-        fatal("snapshot stream truncated mid-blob (offset {})", pos_);
-    std::memcpy(p, buf_.data() + pos_, n);
-    pos_ += n;
+    if (saving_)
+        std::memcpy(claim(n), p, n);
+    else
+        std::memcpy(p, consume(n, "blob"), n);
 }
 
 void
@@ -65,12 +71,13 @@ Archive::section(const char *name)
         fatal("snapshot section mismatch: expected '{}', found '{}'",
               name, s);
     if (saving_) {
-        stack_.push_back(buf_.size());
-        binfmt::appendLe(buf_, 0, 8); // length placeholder
+        stack_.push_back(pos_);
+        std::uint64_t placeholder = 0;
+        raw64(placeholder); // patched by end()
     } else {
         std::uint64_t len = 0;
         raw64(len);
-        if (pos_ + len > buf_.size())
+        if (len > end_ - pos_)
             fatal("snapshot section '{}' overruns the stream", name);
         stack_.push_back(pos_ + static_cast<std::size_t>(len));
     }
@@ -84,7 +91,8 @@ Archive::end()
     std::size_t top = stack_.back();
     stack_.pop_back();
     if (saving_) {
-        binfmt::putLe(buf_.data() + top, buf_.size() - top - 8, 8);
+        std::uint64_t len = pos_ - top - 8;
+        std::memcpy(out_ + top, &len, 8);
     } else if (pos_ != top) {
         fatal("snapshot section length mismatch: {} byte(s) "
               "unconsumed", top - pos_);
@@ -102,12 +110,12 @@ Archive::expectCount(std::uint64_t n, const char *what)
               what, saved, n);
 }
 
-std::vector<unsigned char>
-Archive::take()
+std::span<const unsigned char>
+Archive::payload() const
 {
     if (!stack_.empty())
-        panic("Archive::take with {} open section(s)", stack_.size());
-    return std::move(buf_);
+        panic("Archive::payload with {} open section(s)", stack_.size());
+    return {out_, pos_};
 }
 
 void
@@ -115,9 +123,8 @@ Archive::finish()
 {
     if (!stack_.empty())
         panic("Archive::finish with {} open section(s)", stack_.size());
-    if (pos_ != buf_.size())
-        fatal("snapshot payload has {} trailing byte(s)",
-              buf_.size() - pos_);
+    if (pos_ != end_)
+        fatal("snapshot payload has {} trailing byte(s)", end_ - pos_);
 }
 
 } // namespace dasdram

@@ -18,16 +18,25 @@
  *
  * Field encoding: every integral (and enum) field is stored as 8
  * little-endian bytes, doubles bit-exact through their u64 image,
- * strings and byte blobs length-prefixed. Load-side mismatches are
- * fatal(): an envelope that passed magic/version/checksum validation
- * but desynchronises here is a serde bug, not user input.
+ * strings and vectors length-prefixed. The host must be
+ * little-endian (asserted below), so each field is one 8-byte memcpy
+ * into or out of the buffer. The saver appends to one buffer that
+ * grows geometrically; the loader consumes the payload in place,
+ * inside the buffer the envelope was read into, and copies nothing.
+ * Load-side mismatches are fatal(): an envelope that passed
+ * magic/version/checksum validation but desynchronises here — a
+ * section, string or vector longer than what is left included — is a
+ * serde bug, not user input.
  */
 
 #ifndef DASDRAM_COMMON_SERDE_HH
 #define DASDRAM_COMMON_SERDE_HH
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -41,8 +50,13 @@ class Archive
     /** A saving archive writing into an internal buffer. */
     Archive();
 
-    /** A loading archive consuming @p payload. */
-    explicit Archive(std::vector<unsigned char> payload);
+    /** A loading archive consuming @p payload in place; the bytes
+     *  must outlive the archive. */
+    explicit Archive(std::span<const unsigned char> payload);
+
+    ~Archive();
+    Archive(const Archive &) = delete;
+    Archive &operator=(const Archive &) = delete;
 
     bool saving() const { return saving_; }
     bool loading() const { return !saving_; }
@@ -97,15 +111,35 @@ class Archive
     io(std::vector<T> &v)
     {
         std::uint64_t n = v.size();
-        raw64(n);
+        ioCount(n);
         if (!saving_)
             v.resize(static_cast<std::size_t>(n));
         for (auto &e : v)
             io(e);
     }
 
+    /**
+     * A variable-size container's element count. On load it fatal()s
+     * when the rest of the stream cannot hold @p n elements (each
+     * encodes to at least 8 bytes), so a corrupt count is reported as
+     * truncation instead of sizing a huge allocation.
+     */
+    void
+    ioCount(std::uint64_t &n)
+    {
+        raw64(n);
+        if (!saving_ && n > (end_ - pos_) / 8)
+            truncated("container");
+    }
+
     /** Raw byte blob of a known (unframed) size. */
     void blob(void *p, std::size_t n);
+
+    // pod() and the 8-byte field codec both copy host bytes; the
+    // fields are little-endian on disk only because the host is.
+    static_assert(std::endian::native == std::endian::little,
+                  "the snapshot field encoding assumes a little-endian "
+                  "host");
 
     /** A trivially-copyable struct as one blob (host byte order —
      *  checkpoints are same-build artifacts, guarded by the envelope
@@ -126,18 +160,54 @@ class Archive
 
     /// @}
 
-    /** Saver: take the accumulated payload. */
-    std::vector<unsigned char> take();
+    /** Saver: the payload written so far, in place (valid until the
+     *  next write or the archive's end). */
+    std::span<const unsigned char> payload() const;
 
     /** Loader: assert the payload was fully consumed. */
     void finish();
 
   private:
-    void raw64(std::uint64_t &v);
+    /** Saver: room for @p n more bytes, growing the buffer. */
+    unsigned char *
+    claim(std::size_t n)
+    {
+        if (n > end_ - pos_)
+            grow(n);
+        unsigned char *p = out_ + pos_;
+        pos_ += n;
+        return p;
+    }
+
+    /** Loader: the next @p n bytes, or fatal() truncated mid-@p what. */
+    const unsigned char *
+    consume(std::uint64_t n, const char *what)
+    {
+        if (n > end_ - pos_)
+            truncated(what);
+        const unsigned char *p = in_ + pos_;
+        pos_ += static_cast<std::size_t>(n);
+        return p;
+    }
+
+    void
+    raw64(std::uint64_t &v)
+    {
+        if (saving_)
+            std::memcpy(claim(8), &v, 8);
+        else
+            std::memcpy(&v, consume(8, "field"), 8);
+    }
+
+    void grow(std::size_t n);
+    [[noreturn]] void truncated(const char *what) const;
 
     bool saving_;
-    std::vector<unsigned char> buf_;
-    std::size_t pos_ = 0;
+    unsigned char *out_ = nullptr;      ///< saver: realloc-grown buffer
+    const unsigned char *in_ = nullptr; ///< loader: the payload
+    /** Saver: capacity of out_. Loader: payload size. */
+    std::size_t end_ = 0;
+    std::size_t pos_ = 0; ///< bytes written / consumed
     /** Saver: offsets of unpatched length fields. Loader: section end
      *  offsets. */
     std::vector<std::size_t> stack_;

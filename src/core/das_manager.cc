@@ -463,7 +463,7 @@ DasManager::serdeState(Archive &ar)
 
     // Retry queue, in original order.
     std::uint64_t n = pending_.size();
-    ar.io(n);
+    ar.ioCount(n);
     if (ar.loading())
         pending_.resize(static_cast<std::size_t>(n));
     for (PendingAccess &acc : pending_)
@@ -473,7 +473,7 @@ DasManager::serdeState(Archive &ar)
     // byte stream does not depend on hash-table layout. Waiter order
     // within a line is the coalescing order and is preserved.
     std::uint64_t walks = walksInFlight_.size();
-    ar.io(walks);
+    ar.ioCount(walks);
     if (ar.saving()) {
         std::vector<Addr> lines;
         lines.reserve(walksInFlight_.size());
@@ -485,7 +485,7 @@ DasManager::serdeState(Archive &ar)
             ar.io(key);
             auto &waiters = walksInFlight_[line];
             std::uint64_t w = waiters.size();
-            ar.io(w);
+            ar.ioCount(w);
             for (PendingAccess &acc : waiters)
                 acc.serdeState(ar);
         }
@@ -495,7 +495,7 @@ DasManager::serdeState(Archive &ar)
             Addr key = 0;
             ar.io(key);
             std::uint64_t w = 0;
-            ar.io(w);
+            ar.ioCount(w);
             auto &waiters = walksInFlight_[key];
             waiters.resize(static_cast<std::size_t>(w));
             for (PendingAccess &acc : waiters)
@@ -505,7 +505,7 @@ DasManager::serdeState(Archive &ar)
 
     auto serde_u64_set = [&ar](auto &set) {
         std::uint64_t count = set.size();
-        ar.io(count);
+        ar.ioCount(count);
         if (ar.saving()) {
             std::vector<std::uint64_t> sorted(set.begin(), set.end());
             std::sort(sorted.begin(), sorted.end());

@@ -939,7 +939,7 @@ serdeRequestQueue(Archive &ar,
                   std::vector<std::unique_ptr<MemRequest>> &queue)
 {
     std::uint64_t n = queue.size();
-    ar.io(n);
+    ar.ioCount(n);
     if (ar.loading()) {
         queue.clear();
         queue.reserve(static_cast<std::size_t>(n));
@@ -969,7 +969,7 @@ ChannelController::serdeState(Archive &ar)
     // in-flight index) pairs: restoring the identical array restores
     // the identical heap, including the pop order of same-cycle ties.
     std::uint64_t n = completions_.size();
-    ar.io(n);
+    ar.ioCount(n);
     if (ar.loading())
         completions_.resize(static_cast<std::size_t>(n));
     for (auto &c : completions_) {
@@ -998,13 +998,13 @@ ChannelController::serdeState(Archive &ar)
 
     ar.io(nextMigrationId_);
     std::uint64_t pending = migrations_.size();
-    ar.io(pending);
+    ar.ioCount(pending);
     if (ar.loading())
         migrations_.resize(static_cast<std::size_t>(pending));
     for (MigrationJob &job : migrations_)
         job.serdeState(ar);
     std::uint64_t active = activeMigrations_.size();
-    ar.io(active);
+    ar.ioCount(active);
     if (ar.loading())
         activeMigrations_.resize(static_cast<std::size_t>(active));
     for (auto &m : activeMigrations_) {

@@ -199,7 +199,7 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
             dram->serdeState(saver);
             checker->serdeState(saver);
             std::vector<unsigned char> bytes = binfmt::encodeEnvelope(
-                kFuzzSnapshotMagic, 1, saver.take());
+                kFuzzSnapshotMagic, 1, saver.payload());
 
             dram = std::make_unique<DramSystem>(c.geom, dut, cls,
                                                 c.ctrl, c.mapping);
@@ -214,10 +214,11 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
                 dram->setRequestTraceSink(&span_sink);
 
             binfmt::EnvelopeResult res = binfmt::decodeEnvelope(
-                bytes, kFuzzSnapshotMagic, 1, "fuzz checkpoint");
+                std::move(bytes), kFuzzSnapshotMagic, 1,
+                "fuzz checkpoint");
             if (!res.ok())
                 fatal("fuzz checkpoint round trip: {}", res.error);
-            Archive loader(std::move(res.payload));
+            Archive loader(res.payload());
             dram->serdeState(loader);
             checker->serdeState(loader);
             loader.finish();

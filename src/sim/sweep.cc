@@ -8,6 +8,7 @@
 #include <ostream>
 #include <thread>
 
+#include "common/binfmt.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 
@@ -16,26 +17,6 @@ namespace dasdram
 
 namespace
 {
-
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
-fnv1a(std::string_view s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 /** Filename-safe version of a workload/design/label token. */
 std::string
@@ -99,8 +80,9 @@ std::uint64_t
 SweepRunner::pointSeed(std::uint64_t base_seed,
                        const std::string &workload, DesignKind design)
 {
+    using binfmt::splitmix64;
     std::uint64_t h = splitmix64(base_seed);
-    h = splitmix64(h ^ fnv1a(workload));
+    h = splitmix64(h ^ binfmt::fnv1a64(workload.data(), workload.size()));
     h = splitmix64(h ^ (static_cast<std::uint64_t>(design) + 1));
     // Keep zero out of the space: some components treat 0 specially.
     return h ? h : 1;

@@ -459,7 +459,7 @@ System::serdeState(Archive &ar)
     // The pending miss events round-trip as the raw heap array, so
     // the restored heap pops in exactly the straight run's order.
     std::uint64_t n_events = events_.size();
-    ar.io(n_events);
+    ar.ioCount(n_events);
     if (ar.loading())
         events_.resize(static_cast<std::size_t>(n_events));
     for (MissEvent &ev : events_)
@@ -514,7 +514,7 @@ System::saveSnapshot(const std::string &path)
     ar.io(fp);
     serdeState(ar);
     std::string err = binfmt::writeEnvelopeFile(
-        path, kSnapshotMagic, kSnapshotVersion, ar.take());
+        path, kSnapshotMagic, kSnapshotVersion, ar.payload());
     if (!err.empty())
         fatal("checkpoint '{}': {}", path, err);
 }
@@ -526,12 +526,7 @@ System::loadSnapshot(const std::string &path)
         path, kSnapshotMagic, kSnapshotVersion, "checkpoint");
     if (!env.ok())
         fatal("checkpoint '{}': {}", path, env.error);
-    if (env.version < kSnapshotVersion) {
-        fatal("checkpoint '{}': version {} comes from an older build; "
-              "re-create it with this build (version {})",
-              path, env.version, kSnapshotVersion);
-    }
-    Archive ar(std::move(env.payload));
+    Archive ar(env.payload());
     std::uint64_t fp = 0;
     ar.io(fp);
     const std::uint64_t want = configFingerprint(cfg_);

@@ -2,7 +2,8 @@
  * @file
  * Snapshot/restore integration tests: failure modes of the versioned
  * checkpoint envelope (truncation, wrong magic, older or newer
- * version, config-fingerprint mismatch) and the bit-identity
+ * version, a corrupt payload, config-fingerprint mismatch, lengths
+ * and counts near 2^64 behind a valid checksum) and the bit-identity
  * guarantee — a run restored from a mid-run checkpoint must reproduce
  * the straight run's stats exactly, including mid-epoch EpochSeries
  * alignment.
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/binfmt.hh"
+#include "common/serde.hh"
 #include "sim/system.hh"
 #include "workload/spec_profiles.hh"
 #include "workload/synth_trace.hh"
@@ -61,6 +63,32 @@ statsDump(const System &sys)
     return os.str();
 }
 
+std::vector<char>
+readBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string &path, const std::vector<char> &bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Write @p ar's payload as a checkpoint whose envelope and config
+ *  fingerprint are valid, so only the serde layer can refuse it. */
+void
+writeCraftedCheckpoint(const std::string &path, Archive &ar)
+{
+    std::string err = binfmt::writeEnvelopeFile(
+        path, System::kSnapshotMagic, System::kSnapshotVersion,
+        ar.payload());
+    ASSERT_TRUE(err.empty()) << err;
+}
+
 /** Run straight through, writing a checkpoint at @p tick on the way. */
 std::string
 runWithCheckpoint(const SimConfig &cfg, Cycle tick,
@@ -96,19 +124,84 @@ TEST(SnapshotDeathTest, TruncatedFileIsFatal)
 
     // Chop the file mid-payload: the envelope's length framing must
     // catch it before the serde layer sees a single byte.
-    std::ifstream is(path, std::ios::binary);
-    std::vector<char> bytes((std::istreambuf_iterator<char>(is)),
-                            std::istreambuf_iterator<char>());
-    is.close();
+    std::vector<char> bytes = readBytes(path);
     ASSERT_GT(bytes.size(), 64u);
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(),
-             static_cast<std::streamsize>(bytes.size() / 2));
-    os.close();
+    bytes.resize(bytes.size() / 2);
+    writeBytes(path, bytes);
 
     SyntheticTrace t2(snapProfile(), 1);
     System fresh(cfg, {&t2});
     EXPECT_DEATH(fresh.loadSnapshot(path), "truncated checkpoint");
+}
+
+TEST(SnapshotDeathTest, CorruptPayloadIsFatal)
+{
+    std::string path = tmpPath("snap_corrupt.ckpt");
+    SimConfig cfg = snapConfig();
+    SyntheticTrace trace(snapProfile(), 1);
+    System sys(cfg, {&trace});
+    sys.saveSnapshot(path);
+
+    // One flipped bit in the middle of the payload: length and magic
+    // still frame the file, only the checksum can tell.
+    std::vector<char> bytes = readBytes(path);
+    ASSERT_GT(bytes.size(), 64u);
+    bytes[bytes.size() / 2] ^= 0x10;
+    writeBytes(path, bytes);
+
+    SyntheticTrace t2(snapProfile(), 1);
+    System fresh(cfg, {&t2});
+    EXPECT_DEATH(fresh.loadSnapshot(path),
+                 "corrupt checkpoint: checksum mismatch");
+    std::remove(path.c_str());
+}
+
+TEST(SnapshotDeathTest, HugeStringLengthIsFatal)
+{
+    // The first thing after the fingerprint is the "system" section's
+    // name: claim a length near 2^64 for it.
+    std::string path = tmpPath("snap_huge_string.ckpt");
+    SimConfig cfg = snapConfig();
+    Archive ar;
+    std::uint64_t fp = configFingerprint(cfg);
+    ar.io(fp);
+    std::uint64_t name_len = 0xFFFFFFFFFFFFFFF8ull;
+    ar.io(name_len);
+    writeCraftedCheckpoint(path, ar);
+
+    SyntheticTrace trace(snapProfile(), 1);
+    System sys(cfg, {&trace});
+    EXPECT_DEATH(sys.loadSnapshot(path),
+                 "snapshot stream truncated mid-string");
+    std::remove(path.c_str());
+}
+
+TEST(SnapshotDeathTest, HugeVectorCountIsFatal)
+{
+    // A well-formed start of System::serdeState whose pending-event
+    // count is near 2^64.
+    std::string path = tmpPath("snap_huge_count.ckpt");
+    SimConfig cfg = snapConfig();
+    Archive ar;
+    std::uint64_t fp = configFingerprint(cfg);
+    ar.io(fp);
+    ar.section("system");
+    std::uint64_t now = 0, event_seq = 0, warm_stamp = 0;
+    bool warm = false;
+    ar.io(now);
+    ar.io(event_seq);
+    ar.io(warm);
+    ar.io(warm_stamp);
+    std::uint64_t n_events = 0xFFFFFFFFFFFFFFF8ull;
+    ar.io(n_events);
+    ar.end();
+    writeCraftedCheckpoint(path, ar);
+
+    SyntheticTrace trace(snapProfile(), 1);
+    System sys(cfg, {&trace});
+    EXPECT_DEATH(sys.loadSnapshot(path),
+                 "snapshot stream truncated mid-container");
+    std::remove(path.c_str());
 }
 
 TEST(SnapshotDeathTest, WrongMagicIsFatal)
