@@ -88,22 +88,6 @@ class Bank
                row != resExemptA_ && row != resExemptB_;
     }
 
-    /**
-     * Absolute (now-free) form of rowBlocked: the cycle until which
-     * @p row is held by the bank's reservation range, 0 when the row
-     * is outside it or exempt. Once the reservation has expired the
-     * returned cycle is in the past, so callers clamping against
-     * "now + 1" need no freshness check — the stale bound is harmless.
-     */
-    Cycle
-    blockedUntil(std::uint64_t row) const
-    {
-        return (row >= resRowLo_ && row < resRowHi_ &&
-                row != resExemptA_ && row != resExemptB_)
-                   ? reservedUntil_
-                   : 0;
-    }
-
     /// @name Command legality (bank-local constraints only)
     /// @{
     bool
@@ -134,14 +118,6 @@ class Bank
 
     Cycle actAllowedAt() const { return actAllowedAt_; }
     Cycle preAllowedAt() const { return preAllowedAt_; }
-
-    /** Earliest cycle the open row could be precharged (kCycleMax when
-     *  no row is open) — the bank-local PRE horizon. */
-    Cycle
-    prechargeReadyAt() const
-    {
-        return hasOpenRow_ ? preAllowedAt_ : kCycleMax;
-    }
     /// @}
 
     /// @name Command application

@@ -142,7 +142,6 @@ ChannelController::enqueue(std::unique_ptr<MemRequest> req, Cycle now)
     if (req->span)
         stampSpanAdmit(*req, now);
     const bool is_write = req->isWrite;
-    ++chanVer_; // queue membership changed: cached queue horizon stale
     if (is_write)
         writeQueue_.push_back(std::move(req));
     else
@@ -537,7 +536,6 @@ ChannelController::issueColumnFor(
     }
     std::unique_ptr<MemRequest> owned = std::move(queue[i]);
     queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
-    ++chanVer_; // queue membership changed
     Cycle end = owned->completionTick;
     if (owned->isWrite) {
         finish(std::move(owned), end, ServiceLocation::RowBuffer);
@@ -654,30 +652,20 @@ ChannelController::issueFromQueue(
     // it on an O(1) comparison. The cache is keyed on the bank/rank/bus
     // versions, so only requests whose target bank's (or the bus's)
     // readiness actually changed are re-examined in full.
-    if (cfg_.sched == SchedPolicy::FrFcfs) {
-        // Pass 1: oldest ready row hit.
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-            if (requestMaybeIssuable(*queue[i], now) &&
-                issueColumnFor(queue, i, now)) {
-                return true;
-            }
+    //
+    // Pass 1: oldest ready row hit.
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+        if (requestMaybeIssuable(*queue[i], now) &&
+            issueColumnFor(queue, i, now)) {
+            return true;
         }
-        // Pass 2: oldest request that can make row-level progress.
-        for (auto &reqp : queue) {
-            if (requestMaybeIssuable(*reqp, now) &&
-                tryRowCommand(*reqp, now)) {
-                return true;
-            }
-        }
-        return false;
     }
-
-    // Strict FCFS: only the oldest request may issue anything.
-    if (!requestMaybeIssuable(*queue.front(), now))
-        return false;
-    if (issueColumnFor(queue, 0, now))
-        return true;
-    return tryRowCommand(*queue.front(), now);
+    // Pass 2: oldest request that can make row-level progress.
+    for (auto &reqp : queue) {
+        if (requestMaybeIssuable(*reqp, now) && tryRowCommand(*reqp, now))
+            return true;
+    }
+    return false;
 }
 
 void
@@ -704,51 +692,10 @@ ChannelController::tick(Cycle now)
     }
 
     if (!issued) {
-        // The rollup cache knows the earliest cycle any queued request
-        // could issue; below it both queue scans are provably fruitless.
-        refreshHorizonCaches(now);
-        if (queuePathMin_ <= now) {
-            auto &primary = drainingWrites_ ? writeQueue_ : readQueue_;
-            auto &secondary = drainingWrites_ ? readQueue_ : writeQueue_;
-            issued = issueFromQueue(primary, now);
-            if (!issued)
-                issued = issueFromQueue(secondary, now);
-        }
-    }
-
-    // Closed-page: precharge one bank with no pending work for its
-    // row. At most one PRE per cycle — the command bus carries a
-    // single command per channel per cycle, and it is already taken
-    // when something issued above.
-    if (cfg_.page == PagePolicy::Closed && !issued) {
-        refreshHorizonCaches(now);
-        if (preMinReady_ > now)
-            return;
-        for (unsigned ri = 0; ri < ranks_.size() && !issued; ++ri) {
-            Rank &rank = ranks_[ri];
-            for (unsigned bi = 0; bi < rank.numBanks() && !issued;
-                 ++bi) {
-                Bank &bank = rank.bank(bi);
-                if (!bank.hasOpenRow() || !bank.canPrecharge(now))
-                    continue;
-                auto targets_open = [&](const auto &queue) {
-                    for (const auto &r : queue) {
-                        if (r->loc.rank == ri && r->loc.bank == bi &&
-                            r->loc.row == bank.openRow()) {
-                            return true;
-                        }
-                    }
-                    return false;
-                };
-                if (!targets_open(readQueue_) &&
-                    !targets_open(writeQueue_)) {
-                    emitPrecharge(now, ri, bi, bank);
-                    bank.precharge(now);
-                    precharges_.inc();
-                    issued = true;
-                }
-            }
-        }
+        auto &primary = drainingWrites_ ? writeQueue_ : readQueue_;
+        auto &secondary = drainingWrites_ ? readQueue_ : writeQueue_;
+        if (!issueFromQueue(primary, now))
+            issueFromQueue(secondary, now);
     }
 }
 
@@ -771,13 +718,12 @@ ChannelController::requestReadyAt(const MemRequest &req) const
     std::uint64_t bus_key = MemRequest::SchedCache::kBusAny;
     Cycle t;
     if (!bank.hasOpenRow()) {
-        // ACT path. Refresh-due gating is covered by the refresh term
-        // of nextWakeCycle (nextRefreshAt precedes any due window).
+        // ACT path. Refresh-due gating is left to tryRowCommand: a
+        // due refresh is not a bank/rank version bump.
         t = std::max(bank.actAllowedAt(), rank.activateAllowedAt());
     } else if (bank.openRow() != req.loc.row) {
         // Conflict-PRE path. Pending hits to the open row may hold the
-        // PRE back further; those requests contribute their own (column)
-        // horizons, so this bound is merely early, never late.
+        // PRE back further, so this bound is merely early, never late.
         t = bank.preAllowedAt();
     } else {
         bus_key = busVer_;
@@ -809,20 +755,6 @@ ChannelController::requestReadyAt(const MemRequest &req) const
     return t;
 }
 
-Cycle
-ChannelController::requestWakeCycle(const MemRequest &req, Cycle now) const
-{
-    const Bank &bank = bankOf(req);
-
-    // Blocked by a migration reservation: nothing can issue for this
-    // request before the reservation ends. (reserved(now) implies
-    // reservedUntil() > now.)
-    if (bank.rowBlocked(now, req.loc.row))
-        return bank.reservedUntil();
-
-    return std::max(now + 1, requestReadyAt(req));
-}
-
 bool
 ChannelController::requestMaybeIssuable(const MemRequest &req,
                                         Cycle now) const
@@ -831,96 +763,6 @@ ChannelController::requestMaybeIssuable(const MemRequest &req,
     if (bank.rowBlocked(now, req.loc.row))
         return false;
     return requestReadyAt(req) <= now;
-}
-
-std::uint64_t
-ChannelController::stateSignature() const
-{
-    std::uint64_t sig = chanVer_ + busVer_;
-    for (const Rank &r : ranks_) {
-        sig += r.version();
-        for (unsigned bi = 0; bi < r.numBanks(); ++bi)
-            sig += r.bank(bi).version();
-    }
-    return sig;
-}
-
-void
-ChannelController::refreshHorizonCaches(Cycle now) const
-{
-    const std::uint64_t sig = stateSignature();
-    // Valid while no state transition happened AND the earliest
-    // reservation blocking a queued request has not expired (expiry
-    // flips that request to the path side without any version bump).
-    if (sig == horizonSig_ && now < queueBlockedMin_)
-        return;
-
-    horizonSig_ = sig;
-    queuePathMin_ = kCycleMax;
-    queueBlockedMin_ = kCycleMax;
-    auto scan = [&](const std::vector<std::unique_ptr<MemRequest>> &q) {
-        for (const auto &r : q) {
-            const Bank &bank = bankOf(*r);
-            if (bank.rowBlocked(now, r->loc.row)) {
-                queueBlockedMin_ =
-                    std::min(queueBlockedMin_, bank.reservedUntil());
-            } else {
-                queuePathMin_ =
-                    std::min(queuePathMin_, requestReadyAt(*r));
-            }
-        }
-    };
-    scan(readQueue_);
-    scan(writeQueue_);
-
-    preMinReady_ = kCycleMax;
-    if (cfg_.page == PagePolicy::Closed) {
-        for (const Rank &rank : ranks_) {
-            for (unsigned bi = 0; bi < rank.numBanks(); ++bi) {
-                preMinReady_ = std::min(
-                    preMinReady_, rank.bank(bi).prechargeReadyAt());
-            }
-        }
-    }
-}
-
-Cycle
-ChannelController::nextWakeCycle(Cycle now) const
-{
-    Cycle next = kCycleMax;
-    if (!completions_.empty())
-        next = std::min(next, completions_.front().at);
-    for (const auto &m : activeMigrations_)
-        next = std::min(next, m.first);
-    // Migration jobs that have not started keep the controller on a
-    // per-cycle cadence: their gating (per-bank FIFO, deferral to
-    // queued demand, enqueuedAt stamping) is stateful in ways a cheap
-    // bound cannot capture, and jobs spend few cycles in this state.
-    if (!migrations_.empty())
-        next = std::min(next, now + 1);
-    if (cfg_.refreshEnabled) {
-        // nextRefreshAt() stays in the past for the whole drain window
-        // (until the REF issues), so a due refresh pins the horizon to
-        // now + 1 via the max() in the callers.
-        for (const Rank &r : ranks_)
-            next = std::min(next, r.nextRefreshAt());
-    }
-
-    // Queue terms, from the rollup caches. Exactly the per-request
-    // min the full scan produces: min over unblocked requests of
-    // max(now + 1, readyAt) factors through max(now + 1, min readyAt),
-    // and blocked requests contribute their reservation's end.
-    refreshHorizonCaches(now);
-    if (queueBlockedMin_ != kCycleMax)
-        next = std::min(next, queueBlockedMin_);
-    if (queuePathMin_ != kCycleMax)
-        next = std::min(next, std::max(now + 1, queuePathMin_));
-
-    // Closed-page policy precharges idle open banks even with empty
-    // queues; without this term those PREs would be skipped over.
-    if (cfg_.page == PagePolicy::Closed && preMinReady_ != kCycleMax)
-        next = std::min(next, std::max(now + 1, preMinReady_));
-    return next;
 }
 
 bool
@@ -1017,17 +859,7 @@ ChannelController::serdeState(Archive &ar)
     ar.io(lastBusRank_);
     ar.io(lastBusWasWrite_);
     ar.io(busVer_);
-    ar.io(chanVer_);
     ar.end();
-
-    if (ar.loading()) {
-        // Rollup horizon caches are derived state; force a recompute
-        // on the first wake query after the restore.
-        horizonSig_ = ~std::uint64_t{0};
-        queuePathMin_ = kCycleMax;
-        queueBlockedMin_ = kCycleMax;
-        preMinReady_ = kCycleMax;
-    }
 }
 
 } // namespace dasdram

@@ -29,20 +29,6 @@ namespace dasdram
 
 class RequestTraceSink; // mem/request_trace.hh
 
-/** Request scheduling policy. */
-enum class SchedPolicy
-{
-    FrFcfs, ///< first-ready, first-come-first-served (Table 1)
-    Fcfs,   ///< strict arrival order (baseline for tests/ablations)
-};
-
-/** Row-buffer management policy. */
-enum class PagePolicy
-{
-    Open,   ///< leave rows open (Table 1)
-    Closed, ///< precharge after every column access
-};
-
 /** Controller tunables. */
 struct ControllerConfig
 {
@@ -50,8 +36,6 @@ struct ControllerConfig
     unsigned writeQueueDepth = 32;
     unsigned writeHighWatermark = 24;
     unsigned writeLowWatermark = 8;
-    SchedPolicy sched = SchedPolicy::FrFcfs;
-    PagePolicy page = PagePolicy::Open;
     bool refreshEnabled = true;
 
     /**
@@ -187,26 +171,13 @@ class ChannelController
         return migrations_.size() + activeMigrations_.size();
     }
 
-    /** Advance to cycle @p now: retire completions, issue ≤1 command. */
-    void tick(Cycle now);
-
     /**
-     * Earliest cycle at which tick() could do useful work, for
-     * skipping a channel's idle cycles. Returns kCycleMax when fully idle
-     * with refresh disabled.
-     *
-     * This is the channel's event horizon: a lower bound on the next
-     * state change, computed from the same per-bank/per-rank allowed-at
-     * times the scheduler itself consults (tRCD/tRAS/tRP/tCCD, tRRD /
-     * tFAW / tWTR, refresh deadlines, bus occupancy, reservations).
-     * The bound may be early — waking the controller on a cycle where
-     * nothing issues is a no-op — but is never late: skipping every
-     * cycle below the horizon is indistinguishable from ticking them.
-     * The catch-up loop of DramSystem::tick relies on exactly that
-     * property, which the horizon property test
-     * (tests/dram/test_horizon.cc) enforces.
+     * Advance to cycle @p now: retire completions, update the
+     * write-drain state, issue ≤1 command. Call once per memory cycle,
+     * with @p now one past the previous call: the drain hysteresis
+     * and the migration deferral are per-cycle state machines.
      */
-    Cycle nextWakeCycle(Cycle now) const;
+    void tick(Cycle now);
 
     /** Outstanding work (queues, in-flight, migrations)? */
     bool busy() const;
@@ -298,18 +269,10 @@ class ChannelController
      * next command — column, ACT or conflict PRE — derived from the
      * current bank/rank/bus state. Cached in req.sched keyed on the
      * three state versions; any command touching them recomputes it.
-     * The bound is now-free: callers clamp with max(now + 1, bound),
-     * which provably equals the per-cycle evaluation at every now while
-     * the state is unchanged.
+     * The bound is now-free, so one entry answers every cycle's
+     * "ready by now?" query while the state is unchanged.
      */
     Cycle requestReadyAt(const MemRequest &req) const;
-
-    /**
-     * Lower bound (> @p now) on the cycle at which @p req could issue
-     * its next command — column, ACT or conflict PRE — assuming no
-     * other command issues first (any such issue re-runs the horizon).
-     */
-    Cycle requestWakeCycle(const MemRequest &req, Cycle now) const;
 
     /**
      * Cheap necessary condition for @p req issuing any command at
@@ -320,27 +283,6 @@ class ChannelController
      * still run when it passes.
      */
     bool requestMaybeIssuable(const MemRequest &req, Cycle now) const;
-
-    /**
-     * Monotone signature of every piece of state the cached queue and
-     * precharge horizons depend on: the channel version (queue
-     * membership), the bus version, and all rank and bank versions.
-     * Each term only ever increments, so the sum strictly increases on
-     * any transition — two distinct states never alias.
-     */
-    std::uint64_t stateSignature() const;
-
-    /**
-     * Recompute the rollup horizon caches if stateSignature() moved or
-     * the earliest reservation blocking a queued request expired: the
-     * minimum absolute ready cycle over unblocked requests of both
-     * queues (reusing every per-request cache whose versions still
-     * match), the earliest end of a reservation blocking a queued
-     * request, and the earliest closed-page precharge. O(1) when
-     * nothing changed. Like nextWakeCycle, assumes @p now does not
-     * decrease between state transitions.
-     */
-    void refreshHorizonCaches(Cycle now) const;
 
     /** Record stats, report @p req to the sink, then destroy it. */
     void finish(std::unique_ptr<MemRequest> req, Cycle at,
@@ -407,27 +349,9 @@ class ChannelController
     int lastBusRank_ = -1;
     bool lastBusWasWrite_ = false;
 
-    /// @name Readiness-cache bookkeeping
-    /// @{
-
-    /** Bumped whenever the bus state above changes (column issue). */
+    /** Bumped whenever the bus state above changes (column issue);
+     *  keys the bus-dependent readiness-cache entries. */
     std::uint64_t busVer_ = 0;
-    /** Bumped whenever queue membership changes (enqueue/dequeue). */
-    std::uint64_t chanVer_ = 0;
-
-    /** Signature the rollup caches below were computed at. */
-    mutable std::uint64_t horizonSig_ = ~std::uint64_t{0};
-    /** Min absolute ready cycle over queued requests not blocked by a
-     *  reservation (kCycleMax: none). */
-    mutable Cycle queuePathMin_ = kCycleMax;
-    /** Min reservation end over blocked queued requests (kCycleMax:
-     *  none). Doubles as the caches' validity horizon: when now
-     *  reaches it the blocked/unblocked partition changes without a
-     *  version bump, so the caches are recomputed. */
-    mutable Cycle queueBlockedMin_ = kCycleMax;
-    /** Earliest closed-page PRE over open banks (kCycleMax: none). */
-    mutable Cycle preMinReady_ = kCycleMax;
-    /// @}
 
     /// @name Statistics
     /// @{

@@ -136,37 +136,10 @@ DramSystem::tick(Cycle now_tick)
 {
     const Cycle target = now_tick / kMemTick;
     while (lastMemCycle_ < target) {
-        Cycle next_needed = kCycleMax;
-        for (const auto &ch : channels_) {
-            next_needed =
-                std::min(next_needed, ch->nextWakeCycle(lastMemCycle_));
-        }
-        if (next_needed > target) {
-            lastMemCycle_ = target;
-            break;
-        }
-        lastMemCycle_ = std::max(lastMemCycle_ + 1, next_needed);
+        ++lastMemCycle_;
         for (const auto &ch : channels_)
             ch->tick(lastMemCycle_);
     }
-}
-
-Cycle
-DramSystem::nextWakeMemCycle(Cycle mem_now) const
-{
-    Cycle next = kCycleMax;
-    for (const auto &ch : channels_)
-        next = std::min(next, ch->nextWakeCycle(mem_now));
-    return next;
-}
-
-Cycle
-DramSystem::nextWakeTick(Cycle now_tick) const
-{
-    const Cycle next = nextWakeMemCycle(now_tick / kMemTick);
-    if (next == kCycleMax)
-        return kCycleMax;
-    return next * kMemTick;
 }
 
 bool

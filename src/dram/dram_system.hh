@@ -101,19 +101,21 @@ class DramSystem : private CompletionSink
      */
     void setRequestTraceSink(RequestTraceSink *sink);
 
-    /** Advance the memory clock up to @p now_tick (call monotonically). */
+    /**
+     * Advance the memory clock up to @p now_tick (call monotonically),
+     * ticking every channel once per memory cycle.
+     */
     void tick(Cycle now_tick);
 
-    /** nextWakeMemCycle() in ticks (kCycleMax when fully idle). */
-    Cycle nextWakeTick(Cycle now_tick) const;
-
     /**
-     * Earliest memory cycle any channel could issue a command or change
-     * state after @p mem_now (kCycleMax when fully idle) — the horizon
-     * tick()'s catch-up loop skips dead cycles up to. The memory-
-     * cycle-domain primitive behind nextWakeTick().
+     * The tick of the next memory-cycle boundary after @p now_tick:
+     * tick() does work on every memory cycle, so that is always the
+     * next one. Kept for callers that still ask for a wake time.
      */
-    Cycle nextWakeMemCycle(Cycle mem_now) const;
+    Cycle nextWakeTick(Cycle now_tick) const
+    {
+        return (now_tick / kMemTick + 1) * kMemTick;
+    }
 
     /** Any outstanding work in any channel? */
     bool busy() const;

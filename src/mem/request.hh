@@ -67,7 +67,7 @@ struct MemRequest
      * plus the bank/rank/bus state versions it was computed at. Valid
      * iff all three versions still match; any command touching the
      * request's bank, rank or the channel bus invalidates it. Mutable
-     * because the horizon is computed from const scheduling paths.
+     * because the const readiness query fills it.
      */
     struct SchedCache
     {

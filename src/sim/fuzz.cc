@@ -449,10 +449,6 @@ defaultFuzzCases(std::uint64_t base_seed, unsigned requests)
     };
     static const Corner corners[] = {
         {"base", [](FuzzCase &) {}, false},
-        {"fcfs",
-         [](FuzzCase &c) { c.ctrl.sched = SchedPolicy::Fcfs; }, false},
-        {"closed",
-         [](FuzzCase &c) { c.ctrl.page = PagePolicy::Closed; }, false},
         {"tiny-queues",
          [](FuzzCase &c) {
              c.ctrl.readQueueDepth = 4;

@@ -151,8 +151,8 @@ FuzzDifferential runFuzzDifferential(const FuzzCase &c);
 
 /**
  * The standard fuzz grid: designs (standard/sas/charm/das/das-fm/fs) ×
- * controller corners (default, FCFS, closed-page, tiny queues, refresh
- * off, zero migration deferral), with per-case seeds derived from
+ * controller corners (default, tiny queues, refresh off, zero
+ * migration deferral), with per-case seeds derived from
  * @p base_seed via SweepRunner::pointSeed.
  */
 std::vector<FuzzCase> defaultFuzzCases(std::uint64_t base_seed,

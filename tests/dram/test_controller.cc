@@ -264,33 +264,3 @@ TEST(Controller, MigrationDefersToPendingGroupRequests)
     // The demand read completed before the migration finished.
     EXPECT_LT(h.completions[0].first, h.jobDoneAt);
 }
-
-TEST(Controller, FcfsPolicyServesInOrder)
-{
-    ControllerConfig cfg;
-    cfg.sched = SchedPolicy::Fcfs;
-    ControllerHarness h(cfg);
-    h.submit(5, 0, false, 0);
-    h.submit(9, 0, false, 0); // conflict
-    h.submit(5, 1, false, 0); // would be a row hit under FR-FCFS
-    h.drain();
-    // Strict order: 0 then 1 then 2.
-    EXPECT_LT(h.completions[0].first, h.completions[1].first);
-    EXPECT_LT(h.completions[1].first, h.completions[2].first);
-}
-
-TEST(Controller, ClosedPagePolicyPrechargesIdleRows)
-{
-    ControllerConfig cfg;
-    cfg.page = PagePolicy::Closed;
-    ControllerHarness h(cfg);
-    h.submit(5, 0, false, 0);
-    h.drain();
-    h.runTo(h.now + h.timing.slow.tRC + 5);
-    // Row was closed after service: a new request to the same row needs
-    // a fresh ACT.
-    h.submit(5, 1, false, h.now);
-    h.drain();
-    EXPECT_EQ(h.ctrl.actCountSlow(), 2u);
-    EXPECT_EQ(h.ctrl.rowHits(), 0u);
-}

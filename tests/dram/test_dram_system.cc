@@ -108,14 +108,6 @@ TEST(DramSystem, BusyReflectsOutstandingWork)
     EXPECT_TRUE(h.dram.busy());
 }
 
-TEST(DramSystem, NextWakeTickAdvancesWhenIdle)
-{
-    SystemHarness h;
-    // Idle system: next wake is the first refresh.
-    Cycle wake = h.dram.nextWakeTick(0);
-    EXPECT_EQ(wake, h.timing.tREFI * kMemTick);
-}
-
 TEST(DramSystem, EnergyBreakdownCountsOperations)
 {
     SystemHarness h;
@@ -219,15 +211,4 @@ TEST(DramSystem, CommandStreamIsOrderedByCycleThenChannel)
                 << " not in channel order";
         }
     }
-}
-
-/** nextWakeMemCycle is the mem-cycle primitive behind nextWakeTick. */
-TEST(DramSystem, NextWakeMemCycleMatchesTickDomain)
-{
-    DramGeometry geom;
-    const DramTiming timing = ddr3_1600Timing();
-    UniformRowClassifier cls(RowClass::Slow);
-    DramSystem dram(geom, timing, cls, {});
-    EXPECT_EQ(dram.nextWakeMemCycle(0), timing.tREFI);
-    EXPECT_EQ(dram.nextWakeTick(0), timing.tREFI * kMemTick);
 }

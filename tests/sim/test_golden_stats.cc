@@ -9,7 +9,9 @@
  *
  * The goldens encode the simulator's output for:
  *   workload mcf (single core), seed 42, 200k instructions/core,
- *   default Table 1 configuration, DAS and Standard designs,
+ *   default Table 1 configuration, DAS and Standard designs;
+ *   workload lbm (single core), seed 42, 4 M instructions/core,
+ *   Standard design (the one point that issues DRAM writes),
  * run through runSimulation() directly (no sweep seed derivation), so
  * they are independent of the sweep layer.
  *
@@ -104,4 +106,40 @@ TEST(GoldenStats, McfStandardFixedSeed)
     EXPECT_EQ(m.energy.refreshes, 32u);
     EXPECT_EQ(m.energy.swaps, 0u);
     expectNear(m.mpki(), 36.124548443144462, "mpki");
+}
+
+/**
+ * The write path: lbm streams writebacks, so this point issues DRAM
+ * writes and crosses the write-drain hysteresis (the mcf points above
+ * never write). It is sized so scheduler changes show: at 2 M
+ * instructions and below, a DRAM clock that skipped to each channel's
+ * next wake cycle gave the same output as the per-cycle one; at 4 M
+ * they differ. The skipping clock's values ("skip:") are kept beside
+ * the fields that changed, to show this gate sees the difference.
+ */
+TEST(GoldenStats, LbmStandardFixedSeed)
+{
+    SimConfig cfg = goldenConfig();
+    cfg.instructionsPerCore = 4'000'000;
+    cfg.design = DesignKind::Standard;
+    RunMetrics m = runSimulation(WorkloadSpec::single("lbm"), cfg);
+
+    ASSERT_EQ(m.ipc.size(), 1u);
+    expectNear(m.ipc[0], 1.513358701008559, "ipc"); // skip: 1.51196436...
+    EXPECT_EQ(m.cpuCycles, 2114502u);               // skip: 2116452
+    EXPECT_EQ(m.instructions, 3200000u);
+    EXPECT_EQ(m.llcMisses, 81204u);
+    EXPECT_EQ(m.memAccesses, 96804u); // skip: 96808
+    EXPECT_EQ(m.promotions, 0u);
+    EXPECT_EQ(m.locations.rowBuffer, 76502u); // skip: 76498
+    EXPECT_EQ(m.locations.fastLevel, 0u);
+    EXPECT_EQ(m.locations.slowLevel, 20300u); // skip: 20308
+    EXPECT_EQ(m.energy.actsSlow, 20351u);     // skip: 20363
+    EXPECT_EQ(m.energy.actsFast, 0u);
+    EXPECT_EQ(m.energy.reads, 81203u);
+    EXPECT_GT(m.energy.writes, 0u);
+    EXPECT_EQ(m.energy.writes, 15598u); // skip: 15602
+    EXPECT_EQ(m.energy.refreshes, 444u);
+    EXPECT_EQ(m.energy.swaps, 0u);
+    expectNear(m.mpki(), 25.37625, "mpki");
 }
