@@ -8,6 +8,7 @@
 #ifndef DASDRAM_CACHE_CACHE_HH
 #define DASDRAM_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -104,21 +105,30 @@ class Cache
     StatGroup &stats() { return statGroup_; }
 
   private:
-    struct Line
-    {
-        Addr tag = kAddrInvalid;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t stamp = 0; ///< LRU recency
-    };
+    /** Directory slot of a miss. */
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
 
-    std::uint64_t setIndex(Addr line) const;
-    Line *find(Addr line);
-    const Line *find(Addr line) const;
+    /** First directory slot of @p line's set. */
+    std::size_t
+    setBase(Addr line) const
+    {
+        return static_cast<std::size_t>((line >> lineShift_) & setMask_) *
+               cfg_.assoc;
+    }
+
+    /** Directory slot holding @p line, or kNoWay. */
+    std::size_t find(Addr line) const;
 
     CacheConfig cfg_;
     std::string name_;
-    std::vector<Line> lines_; ///< [set * assoc + way]
+    unsigned lineShift_;    ///< log2(lineBytes)
+    std::uint64_t setMask_; ///< numSets - 1
+    /** The directory, one entry per [set * assoc + way] in each array.
+     *  A tag of kAddrInvalid is an empty way, so an 8-way set's tags
+     *  fill one 64-byte host line and a miss reads nothing else. */
+    std::vector<Addr> tags_;
+    std::vector<std::uint8_t> dirty_;
+    std::vector<std::uint64_t> stamps_; ///< LRU recency
     std::uint64_t stampCounter_ = 0;
     Rng rng_;
 

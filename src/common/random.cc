@@ -82,23 +82,28 @@ Rng::chance(double p)
     return nextDouble() < p;
 }
 
-std::uint64_t
-Rng::nextZipf(std::uint64_t n, double s)
+ZipfParams::ZipfParams(std::uint64_t items, double s) : n(items)
 {
-    if (n <= 1)
-        return 0;
     // Approximate inverse CDF: for weight r^-s the CDF is roughly
     // (r/n)^(1-s) for s < 1; for s >= 1 use the classic rejection-free
     // approximation based on the continuous distribution.
-    double u = nextDouble();
     if (s == 1.0)
         s = 1.0000001;
     double exponent = 1.0 - s;
     // Continuous inverse-CDF for pdf x^-s on [1, n+1).
-    double hi = std::pow(static_cast<double>(n) + 1.0, exponent);
-    double x = std::pow(u * (hi - 1.0) + 1.0, 1.0 / exponent);
+    hi = std::pow(static_cast<double>(n) + 1.0, exponent);
+    invExponent = 1.0 / exponent;
+}
+
+std::uint64_t
+Rng::nextZipf(const ZipfParams &z)
+{
+    if (z.n <= 1)
+        return 0;
+    double u = nextDouble();
+    double x = std::pow(u * (z.hi - 1.0) + 1.0, z.invExponent);
     std::uint64_t r = static_cast<std::uint64_t>(x) - 1;
-    return (r >= n) ? n - 1 : r;
+    return (r >= z.n) ? z.n - 1 : r;
 }
 
 } // namespace dasdram

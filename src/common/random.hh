@@ -17,6 +17,19 @@ namespace dasdram
 {
 
 /**
+ * The per-(n, s) constants of Rng::nextZipf, computed once so that
+ * repeated draws from one distribution skip both pow() setups.
+ */
+struct ZipfParams
+{
+    ZipfParams(std::uint64_t n, double s);
+
+    std::uint64_t n;
+    double hi;          ///< (n + 1)^(1 - s)
+    double invExponent; ///< 1 / (1 - s)
+};
+
+/**
  * xoshiro256** PRNG (Blackman & Vigna). Deterministic given a seed,
  * regardless of platform or standard library.
  */
@@ -46,7 +59,13 @@ class Rng
      * rank r has weight 1 / (r + 1)^s. Used for hot-set skew.
      * Implemented by inverse-CDF over a coarse table for speed.
      */
-    std::uint64_t nextZipf(std::uint64_t n, double s);
+    std::uint64_t nextZipf(std::uint64_t n, double s)
+    {
+        return nextZipf(ZipfParams(n, s));
+    }
+
+    /** nextZipf over precomputed constants; the same draws. */
+    std::uint64_t nextZipf(const ZipfParams &z);
 
     /** Checkpoint the full generator state. */
     void

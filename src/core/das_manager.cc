@@ -1,6 +1,7 @@
 #include "das_manager.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 
@@ -14,6 +15,7 @@ DasManager::DasManager(DramSystem &dram, CacheHierarchy *caches,
       statGroup_("dasManager")
 {
     dram.setCompletionSink(this);
+    touchedRows_.assign(divCeil(dram.geometry().totalRows(), 64), 0);
     table_ = std::make_unique<TranslationTable>(layout);
     if (cfg.mode == ManagementMode::Dynamic && !cfg.exclusiveCache)
         incl_ = std::make_unique<InclusiveDirectory>(layout);
@@ -82,7 +84,7 @@ DasManager::locations() const
 std::uint64_t
 DasManager::footprintRows() const
 {
-    return touchedRows_.size();
+    return touchedCount_;
 }
 
 void
@@ -97,7 +99,8 @@ DasManager::resetStats()
     tableWalksLlc_.reset();
     tableWalksDram_.reset();
     writebacks_.reset();
-    touchedRows_.clear();
+    std::fill(touchedRows_.begin(), touchedRows_.end(), 0);
+    touchedCount_ = 0;
 }
 
 void
@@ -118,7 +121,7 @@ DasManager::access(Addr addr, bool is_write, int core, Continuation cont,
     demandAccesses_.inc();
     if (is_write)
         writebacks_.inc();
-    touchedRows_.insert(acc.logical);
+    markTouched(acc.logical);
 
     if (cfg_.mode != ManagementMode::Dynamic) {
         if (acc.span)
@@ -522,7 +525,35 @@ DasManager::serdeState(Archive &ar)
         }
     };
     serde_u64_set(swapsInFlight_);
-    serde_u64_set(touchedRows_);
+
+    // The footprint saves as a sorted row list: the count, then the
+    // set bits in ascending order.
+    std::uint64_t touched = touchedCount_;
+    ar.ioCount(touched);
+    if (ar.saving()) {
+        for (std::size_t w = 0; w < touchedRows_.size(); ++w) {
+            for (std::uint64_t bits = touchedRows_[w]; bits;
+                 bits &= bits - 1) {
+                std::uint64_t row =
+                    w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+                ar.io(row);
+            }
+        }
+    } else {
+        const std::uint64_t total_rows = dram_->geometry().totalRows();
+        std::fill(touchedRows_.begin(), touchedRows_.end(), 0);
+        touchedCount_ = 0;
+        for (std::uint64_t i = 0; i < touched; ++i) {
+            std::uint64_t row = 0;
+            ar.io(row);
+            if (row >= total_rows) {
+                fatal("checkpoint: DAS manager footprint row {} is outside "
+                      "the geometry's {} rows",
+                      row, total_rows);
+            }
+            markTouched(row);
+        }
+    }
     ar.end();
 }
 

@@ -240,6 +240,16 @@ class DasManager : private CompletionSink
     void maybePromoteInclusive(GlobalRowId logical, Cycle now);
     GlobalRowId physicalFor(GlobalRowId logical) const;
 
+    /** Add @p row to the footprint. @pre row < totalRows(). */
+    void
+    markTouched(GlobalRowId row)
+    {
+        std::uint64_t &word = touchedRows_[row >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (row & 63);
+        touchedCount_ += (word & bit) ? 0 : 1;
+        word |= bit;
+    }
+
     DramSystem *dram_;
     CacheHierarchy *caches_;
     const AsymmetricLayout *layout_;
@@ -259,7 +269,10 @@ class DasManager : private CompletionSink
     /** In-flight table-line walks: accesses waiting on the same line. */
     std::unordered_map<Addr, std::vector<PendingAccess>> walksInFlight_;
     std::unordered_set<std::uint64_t> swapsInFlight_; ///< group ids
-    std::unordered_set<GlobalRowId> touchedRows_;     ///< footprint
+    /** Footprint: one bit per global row ever accessed since the
+     *  last statistics reset, and the number of bits set. */
+    std::vector<std::uint64_t> touchedRows_;
+    std::uint64_t touchedCount_ = 0;
 
     StatGroup statGroup_;
     Counter demandAccesses_, rowBufferHits_, fastAccesses_, slowAccesses_;

@@ -16,7 +16,9 @@ TranslationCache::TranslationCache(std::uint64_t capacity_bytes,
     numSets_ = capacity_ / assoc_;
     if (!isPowerOfTwo(numSets_))
         fatal("translation cache set count must be a power of two");
-    entries_.resize(capacity_);
+    rows_.assign(capacity_, ~0ULL);
+    valid_.assign(capacity_, 0);
+    stamps_.assign(capacity_, 0);
 
     statGroup_.addCounter("hits", &hits_);
     statGroup_.addCounter("misses", &misses_);
@@ -25,24 +27,34 @@ TranslationCache::TranslationCache(std::uint64_t capacity_bytes,
         "fraction of lookups hitting the tag cache");
 }
 
-std::uint64_t
-TranslationCache::setOf(GlobalRowId row) const
+std::size_t
+TranslationCache::setBase(GlobalRowId row) const
 {
     // Mix the bits a little so bank-interleaved rows spread over sets.
     std::uint64_t h = row * 0x9e3779b97f4a7c15ULL;
-    return (h >> 16) & (numSets_ - 1);
+    return static_cast<std::size_t>((h >> 16) & (numSets_ - 1)) * assoc_;
+}
+
+std::size_t
+TranslationCache::find(GlobalRowId row) const
+{
+    const std::size_t base = setBase(row);
+    const GlobalRowId *rows = &rows_[base];
+    for (unsigned w = 0; w < assoc_; ++w) {
+        if (rows[w] == row && valid_[base + w])
+            return base + w;
+    }
+    return kNoWay;
 }
 
 bool
 TranslationCache::lookup(GlobalRowId row)
 {
-    Entry *base = &entries_[setOf(row) * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].row == row) {
-            base[w].stamp = ++stampCounter_;
-            hits_.inc();
-            return true;
-        }
+    const std::size_t i = find(row);
+    if (i != kNoWay) {
+        stamps_[i] = ++stampCounter_;
+        hits_.inc();
+        return true;
     }
     misses_.inc();
     return false;
@@ -51,49 +63,42 @@ TranslationCache::lookup(GlobalRowId row)
 bool
 TranslationCache::probe(GlobalRowId row) const
 {
-    const Entry *base = &entries_[setOf(row) * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].row == row)
-            return true;
-    }
-    return false;
+    return find(row) != kNoWay;
 }
 
 void
 TranslationCache::insert(GlobalRowId row)
 {
-    Entry *base = &entries_[setOf(row) * assoc_];
-    Entry *victim = nullptr;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].row == row) {
-            base[w].stamp = ++stampCounter_;
-            return;
-        }
-        if (!victim && !base[w].valid)
-            victim = &base[w];
+    if (std::size_t i = find(row); i != kNoWay) {
+        stamps_[i] = ++stampCounter_;
+        return;
     }
-    if (!victim) {
+    const std::size_t base = setBase(row);
+    std::size_t victim = kNoWay;
+    for (unsigned w = 0; w < assoc_; ++w) {
+        if (!valid_[base + w]) {
+            victim = base + w;
+            break;
+        }
+    }
+    if (victim == kNoWay) {
         victim = base;
         for (unsigned w = 1; w < assoc_; ++w) {
-            if (base[w].stamp < victim->stamp)
-                victim = &base[w];
+            if (stamps_[base + w] < stamps_[victim])
+                victim = base + w;
         }
     }
-    victim->row = row;
-    victim->valid = true;
-    victim->stamp = ++stampCounter_;
+    rows_[victim] = row;
+    valid_[victim] = 1;
+    stamps_[victim] = ++stampCounter_;
 }
 
 void
 TranslationCache::invalidate(GlobalRowId row)
 {
-    Entry *base = &entries_[setOf(row) * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].row == row) {
-            base[w].valid = false;
-            return;
-        }
-    }
+    // The row stays behind as a stale tag: snapshots save it.
+    if (std::size_t i = find(row); i != kNoWay)
+        valid_[i] = 0;
 }
 
 } // namespace dasdram

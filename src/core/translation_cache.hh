@@ -13,6 +13,7 @@
 #ifndef DASDRAM_CORE_TRANSLATION_CACHE_HH
 #define DASDRAM_CORE_TRANSLATION_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -65,35 +66,43 @@ class TranslationCache
     StatGroup &stats() { return statGroup_; }
 
     /** Checkpoint tags, validity and recency (hit/miss counters ride
-     *  the owner's StatGroup serdeTree pass). */
+     *  the owner's StatGroup serdeTree pass). Each entry saves (row,
+     *  valid, stamp); an invalidated entry keeps its stale row. */
     void
     serdeState(Archive &ar)
     {
         ar.section("transCache");
-        ar.expectCount(entries_.size(), "tag-cache entries");
-        for (Entry &e : entries_) {
-            ar.io(e.row);
-            ar.io(e.valid);
-            ar.io(e.stamp);
+        ar.expectCount(rows_.size(), "tag-cache entries");
+        for (std::size_t i = 0; i < rows_.size(); ++i) {
+            bool valid = valid_[i] != 0;
+            ar.io(rows_[i]);
+            ar.io(valid);
+            ar.io(stamps_[i]);
+            valid_[i] = valid ? 1 : 0;
         }
         ar.io(stampCounter_);
         ar.end();
     }
 
   private:
-    struct Entry
-    {
-        GlobalRowId row = ~0ULL;
-        bool valid = false;
-        std::uint64_t stamp = 0;
-    };
+    /** Entry index of a miss. */
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
 
-    std::uint64_t setOf(GlobalRowId row) const;
+    /** First entry index of @p row's set. */
+    std::size_t setBase(GlobalRowId row) const;
+
+    /** Valid entry holding @p row, or kNoWay. */
+    std::size_t find(GlobalRowId row) const;
 
     std::uint64_t capacity_;
     unsigned assoc_;
     std::uint64_t numSets_;
-    std::vector<Entry> entries_;
+    /** The directory, one entry per [set * assoc + way] in each array.
+     *  An 8-way set's rows fill one 64-byte host line; validity is
+     *  read only on a row match. */
+    std::vector<GlobalRowId> rows_;
+    std::vector<std::uint8_t> valid_;
+    std::vector<std::uint64_t> stamps_; ///< LRU recency
     std::uint64_t stampCounter_ = 0;
 
     StatGroup statGroup_;

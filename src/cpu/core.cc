@@ -40,7 +40,8 @@ Core::dispatchOne(Cycle now)
 {
     const unsigned slot_index = tail_;
     Slot &slot = window_[tail_];
-    tail_ = (tail_ + 1) % cfg_.robSize;
+    if (++tail_ == cfg_.robSize)
+        tail_ = 0;
     ++windowCount_;
 
     if (gapLeft_ > 0) {
@@ -88,7 +89,8 @@ Core::tick(Cycle now)
                 robStallCycles_.inc();
             break;
         }
-        head_ = (head_ + 1) % cfg_.robSize;
+        if (++head_ == cfg_.robSize)
+            head_ = 0;
         --windowCount_;
         retired_.inc();
         ++retired_now;
@@ -120,6 +122,12 @@ Core::serdeState(Archive &ar)
     ar.io(head_);
     ar.io(tail_);
     ar.io(windowCount_);
+    if (ar.loading() && (head_ >= cfg_.robSize || tail_ >= cfg_.robSize ||
+                         windowCount_ > cfg_.robSize)) {
+        fatal("checkpoint: core{} ROB cursors head {} tail {} count {} "
+              "do not fit its {} slots",
+              id_, head_, tail_, windowCount_, cfg_.robSize);
+    }
     ar.io(pending_.gap);
     ar.io(pending_.addr);
     ar.io(pending_.isWrite);

@@ -91,12 +91,14 @@ struct DramLoc
  */
 using GlobalRowId = std::uint64_t;
 
-/** Compose a GlobalRowId; row is the bank-local row index. */
+/** Compose a GlobalRowId; row is the bank-local row index.
+ *  @pre g.valid() (power-of-two geometry). */
 GlobalRowId makeGlobalRowId(const DramGeometry &g, unsigned channel,
                             unsigned rank, unsigned bank,
                             std::uint64_t row);
 
-/** Decompose a GlobalRowId back into coordinates (column = 0). */
+/** Decompose a GlobalRowId back into coordinates (column = 0).
+ *  @pre g.valid() (power-of-two geometry). */
 DramLoc decodeGlobalRowId(const DramGeometry &g, GlobalRowId id);
 
 } // namespace dasdram

@@ -231,9 +231,12 @@ System::handleCoreAccess(unsigned core, Addr addr, bool is_write,
     ev.line = res.lineAddr;
     ev.isWrite = is_write;
     ev.issueTick = now_; // core-issue stage of a sampled span
+    if (!events_.empty() && ev < events_.back()) {
+        panic("miss event at tick {} would precede the queued tick {}: "
+              "the miss queue is a FIFO",
+              ev.at, events_.back().at);
+    }
     events_.push_back(ev);
-    std::push_heap(events_.begin(), events_.end(),
-                   std::greater<MissEvent>{});
 }
 
 void
@@ -336,9 +339,7 @@ System::run()
 
         while (!events_.empty() && events_.front().at <= now_) {
             MissEvent ev = events_.front();
-            std::pop_heap(events_.begin(), events_.end(),
-                          std::greater<MissEvent>{});
-            events_.pop_back();
+            events_.pop_front();
             runMissEvent(ev);
         }
 
@@ -456,14 +457,22 @@ System::serdeState(Archive &ar)
     ar.io(warmupDone_);
     ar.io(warmupCycleStamp_);
 
-    // The pending miss events round-trip as the raw heap array, so
-    // the restored heap pops in exactly the straight run's order.
+    // The pending miss events round-trip in pop order, so the
+    // restored queue pops exactly as the straight run's would.
     std::uint64_t n_events = events_.size();
     ar.ioCount(n_events);
     if (ar.loading())
         events_.resize(static_cast<std::size_t>(n_events));
-    for (MissEvent &ev : events_)
-        ev.serdeState(ar);
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+        events_[i].serdeState(ar);
+        if (ar.loading() && i > 0 && !(events_[i - 1] < events_[i])) {
+            fatal("checkpoint: miss event {} (tick {}, seq {}) does not "
+                  "follow event {} (tick {}, seq {}): the miss queue "
+                  "must be ascending in (tick, seq)",
+                  i, events_[i].at, events_[i].seq, i - 1,
+                  events_[i - 1].at, events_[i - 1].seq);
+        }
+    }
 
     ar.expectCount(traces_.size(), "trace sources");
     for (TraceSource *t : traces_)

@@ -7,6 +7,7 @@
 #ifndef DASDRAM_SIM_SYSTEM_HH
 #define DASDRAM_SIM_SYSTEM_HH
 
+#include <deque>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -103,6 +104,10 @@ class System
 
     /** Access the manager (e.g. to program static tables) pre-run. */
     DasManager &manager() { return *das_; }
+    /** The shared MSHR file (tests: what a checkpoint holds). */
+    const MshrFile &mshrs() const { return *mshrs_; }
+    /** Miss events still waiting out the LLC latency. */
+    std::size_t pendingMissEvents() const { return events_.size(); }
     DramSystem &dram() { return *dram_; }
     CacheHierarchy &caches() { return *caches_; }
     const AsymmetricLayout &layout() const { return *layout_; }
@@ -205,14 +210,14 @@ class System
 
     /** Checkpoint envelope identity (shared with tests and tools). */
     static constexpr std::uint32_t kSnapshotMagic = 0x504b4344u; // "DCKP"
-    static constexpr std::uint16_t kSnapshotVersion = 4;
+    static constexpr std::uint16_t kSnapshotVersion = 5;
     /// @}
 
   private:
     /**
      * A deferred LLC-miss hand-off: the cache-latency delay between a
      * core access missing the hierarchy and the MSHR/DRAM side seeing
-     * it. A POD (no closures) so the pending-event heap serialises
+     * it. A POD (no closures) so the pending-event queue serialises
      * verbatim and a restored run pops events in exactly the straight
      * run's (at, seq) order.
      */
@@ -227,9 +232,9 @@ class System
         Cycle issueTick = 0;
 
         bool
-        operator>(const MissEvent &o) const
+        operator<(const MissEvent &o) const
         {
-            return at != o.at ? at > o.at : seq > o.seq;
+            return at != o.at ? at < o.at : seq < o.seq;
         }
 
         void
@@ -301,10 +306,11 @@ class System
     std::unique_ptr<MshrFile> mshrs_;
     std::vector<std::unique_ptr<Core>> cores_;
 
-    /** Pending miss events as an explicit min-heap (std::push_heap /
-     *  std::pop_heap with greater<>) so checkpoints capture the raw
-     *  heap array — identical bytes, identical pop order. */
-    std::vector<MissEvent> events_;
+    /** Pending miss events in (at, seq) order, a FIFO: every event is
+     *  pushed at now_ plus the one LLC latency with a rising seq, and
+     *  now_ never falls, so pushing at the back keeps the order (the
+     *  push panics otherwise). Checkpoints save it front to back. */
+    std::deque<MissEvent> events_;
     std::uint64_t eventSeq_ = 0;
 
     /** Scheduled (tick, path) checkpoints still to be taken. */

@@ -34,6 +34,7 @@ SyntheticTrace::SyntheticTrace(const BenchmarkProfile &profile,
         1, static_cast<std::uint64_t>(
                prof_.hotFraction *
                static_cast<double>(activeRegionPages_)));
+    hotZipf_ = ZipfParams(hotPages_, prof_.zipfS);
     double mix =
         prof_.pStream + prof_.pWork + prof_.pHot + prof_.pUniform;
     if (mix < 0.999 || mix > 1.001)
@@ -145,7 +146,7 @@ SyntheticTrace::pickLine()
         // so each migration group sees ≈ hotFraction of its rows hot —
         // the quantity the fast-level ratio competes with. Each rank
         // slice carries a salt that drifts across phases.
-        std::uint64_t rank = rng_.nextZipf(hotPages_, prof_.zipfS);
+        std::uint64_t rank = rng_.nextZipf(hotZipf_);
         std::uint64_t salt = sliceSalt_[rank % sliceSalt_.size()];
         std::uint64_t page =
             (rank * 2147483647ULL + salt) % activeRegionPages_;

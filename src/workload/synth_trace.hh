@@ -91,6 +91,7 @@ class SyntheticTrace : public TraceSource
     std::uint64_t footprintPages_;
     std::uint64_t activeRegionPages_ = 0;
     std::uint64_t hotPages_;
+    ZipfParams hotZipf_{1, 0.0}; ///< rank draw over the hot set
 
     Rng rng_;
     std::vector<std::uint64_t> streamPos_; ///< line indices

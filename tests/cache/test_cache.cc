@@ -165,3 +165,280 @@ TEST(Cache, MatchesReferenceLruModel)
         }
     }
 }
+
+namespace
+{
+
+/**
+ * The directory as an array of {tag, valid, dirty, stamp} structs
+ * with a division-based set index: the layout Cache had before its
+ * split-tag arrays, kept here as the reference model. Its snapshot
+ * writes the same records, so the two payloads must match byte for
+ * byte.
+ */
+class RefCache
+{
+  public:
+    struct Eviction
+    {
+        bool valid = false;
+        Addr line = kAddrInvalid;
+        bool dirty = false;
+    };
+
+    RefCache(const CacheConfig &cfg, std::uint64_t seed)
+        : cfg_(cfg), lines_(cfg.numSets() * cfg.assoc), rng_(seed)
+    {
+    }
+
+    bool
+    access(Addr addr, bool is_write)
+    {
+        Line *l = find(lineAddr(addr));
+        if (!l)
+            return false;
+        l->stamp = ++stampCounter_;
+        if (is_write)
+            l->dirty = true;
+        return true;
+    }
+
+    bool probe(Addr addr) { return find(lineAddr(addr)) != nullptr; }
+
+    Eviction
+    insert(Addr addr, bool dirty)
+    {
+        Addr line = lineAddr(addr);
+        Eviction ev;
+        if (Line *existing = find(line)) {
+            existing->stamp = ++stampCounter_;
+            existing->dirty = existing->dirty || dirty;
+            return ev;
+        }
+        Line *base = &lines_[setIndex(line) * cfg_.assoc];
+        Line *victim = nullptr;
+        for (unsigned w = 0; w < cfg_.assoc && !victim; ++w) {
+            if (!base[w].valid)
+                victim = &base[w];
+        }
+        if (!victim) {
+            if (cfg_.repl == CacheRepl::Random) {
+                victim = &base[rng_.nextBelow(cfg_.assoc)];
+            } else {
+                victim = base;
+                for (unsigned w = 1; w < cfg_.assoc; ++w) {
+                    if (base[w].stamp < victim->stamp)
+                        victim = &base[w];
+                }
+            }
+            ev.valid = true;
+            ev.line = victim->tag;
+            ev.dirty = victim->dirty;
+        }
+        *victim = Line{line, true, dirty, ++stampCounter_};
+        return ev;
+    }
+
+    bool
+    invalidate(Addr addr)
+    {
+        Line *l = find(lineAddr(addr));
+        if (!l)
+            return false;
+        bool was_dirty = l->dirty;
+        l->tag = kAddrInvalid; // the stamp stays behind
+        l->valid = false;
+        l->dirty = false;
+        return was_dirty;
+    }
+
+    double
+    occupancy() const
+    {
+        double valid = 0;
+        for (const Line &l : lines_)
+            valid += l.valid ? 1 : 0;
+        return valid / static_cast<double>(lines_.size());
+    }
+
+    void
+    serdeState(Archive &ar)
+    {
+        ar.section("cache");
+        ar.expectCount(lines_.size(), "cache lines");
+        for (Line &l : lines_) {
+            ar.io(l.tag);
+            ar.io(l.valid);
+            ar.io(l.dirty);
+            ar.io(l.stamp);
+        }
+        ar.io(stampCounter_);
+        rng_.serdeState(ar);
+        ar.end();
+    }
+
+  private:
+    struct Line
+    {
+        Addr tag = kAddrInvalid;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t stamp = 0;
+    };
+
+    Addr lineAddr(Addr a) const { return a & ~(cfg_.lineBytes - 1); }
+
+    std::uint64_t
+    setIndex(Addr line) const
+    {
+        return (line / cfg_.lineBytes) % cfg_.numSets();
+    }
+
+    Line *
+    find(Addr line)
+    {
+        Line *base = &lines_[setIndex(line) * cfg_.assoc];
+        for (unsigned w = 0; w < cfg_.assoc; ++w) {
+            if (base[w].valid && base[w].tag == line)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    CacheConfig cfg_;
+    std::vector<Line> lines_;
+    std::uint64_t stampCounter_ = 0;
+    Rng rng_;
+};
+
+std::vector<unsigned char>
+savedBytes(Cache &c)
+{
+    Archive ar;
+    c.serdeState(ar);
+    auto p = ar.payload();
+    return {p.begin(), p.end()};
+}
+
+std::vector<unsigned char>
+savedBytes(RefCache &c)
+{
+    Archive ar;
+    c.serdeState(ar);
+    auto p = ar.payload();
+    return {p.begin(), p.end()};
+}
+
+class CacheReferenceModel
+    : public ::testing::TestWithParam<std::tuple<unsigned, CacheRepl>>
+{
+};
+
+} // namespace
+
+TEST_P(CacheReferenceModel, SeededOpsMatchStepByStep)
+{
+    auto [assoc, repl] = GetParam();
+    const CacheConfig cfg{4 * KiB, assoc, 64, repl};
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        Cache dut(cfg, "dut", seed);
+        RefCache ref(cfg, seed);
+        Rng ops(seed * 7919);
+        // Four times the capacity in distinct lines, unaligned
+        // addresses included, so sets fill, evict and refill.
+        const std::uint64_t span = 4 * cfg.sizeBytes;
+        for (int i = 0; i < 30000; ++i) {
+            Addr a = ops.nextBelow(span);
+            bool flag = ops.chance(0.3);
+            switch (ops.nextBelow(4)) {
+              case 0:
+                ASSERT_EQ(dut.access(a, flag), ref.access(a, flag))
+                    << "access " << i;
+                break;
+              case 1: {
+                Cache::Eviction d = dut.insert(a, flag);
+                RefCache::Eviction r = ref.insert(a, flag);
+                ASSERT_EQ(d.valid, r.valid) << "insert " << i;
+                ASSERT_EQ(d.line, r.line) << "insert " << i;
+                ASSERT_EQ(d.dirty, r.dirty) << "insert " << i;
+                break;
+              }
+              case 2:
+                ASSERT_EQ(dut.invalidate(a), ref.invalidate(a))
+                    << "invalidate " << i;
+                break;
+              default:
+                ASSERT_EQ(dut.probe(a), ref.probe(a)) << "probe " << i;
+                break;
+            }
+            if (i % 1000 == 0) {
+                ASSERT_EQ(dut.occupancy(), ref.occupancy()) << i;
+            }
+        }
+        EXPECT_EQ(dut.occupancy(), ref.occupancy());
+        // Same records, same stamp counter, same RNG position.
+        EXPECT_EQ(savedBytes(dut), savedBytes(ref)) << "seed " << seed;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheReferenceModel,
+    ::testing::Values(std::make_tuple(1u, CacheRepl::Lru),
+                      std::make_tuple(4u, CacheRepl::Lru),
+                      std::make_tuple(8u, CacheRepl::Lru),
+                      std::make_tuple(4u, CacheRepl::Random),
+                      std::make_tuple(8u, CacheRepl::Random)));
+
+TEST(Cache, SaveLoadSaveRoundTripsBytes)
+{
+    const CacheConfig cfg{2 * KiB, 4, 64, CacheRepl::Random};
+    Cache a(cfg, "c", 5);
+    Rng ops(11);
+    for (int i = 0; i < 2000; ++i) {
+        Addr line = ops.nextBelow(128) * 64;
+        if (ops.chance(0.2))
+            a.invalidate(line);
+        else
+            a.insert(line, ops.chance(0.5));
+    }
+    std::vector<unsigned char> first = savedBytes(a);
+    Cache b(cfg, "c", 99);
+    Archive in(first);
+    b.serdeState(in);
+    in.finish();
+    EXPECT_EQ(savedBytes(b), first);
+    // Restored recency and RNG: the next victims agree.
+    for (int i = 0; i < 200; ++i) {
+        Addr line = (1000 + ops.nextBelow(512)) * 64;
+        Cache::Eviction ea = a.insert(line, false);
+        Cache::Eviction eb = b.insert(line, false);
+        ASSERT_EQ(ea.line, eb.line);
+        ASSERT_EQ(ea.dirty, eb.dirty);
+    }
+}
+
+TEST(CacheDeathTest, SavedValidDisagreeingWithTagIsFatal)
+{
+    const CacheConfig cfg{128, 2, 64};
+    Cache c(cfg, "victim");
+    // A valid line whose tag is the empty-way marker.
+    Archive ar;
+    ar.section("cache");
+    ar.expectCount(2, "cache lines");
+    for (int way = 0; way < 2; ++way) {
+        Addr tag = kAddrInvalid;
+        bool valid = way == 1, dirty = false;
+        std::uint64_t stamp = 0;
+        ar.io(tag);
+        ar.io(valid);
+        ar.io(dirty);
+        ar.io(stamp);
+    }
+    std::uint64_t counter = 0;
+    ar.io(counter);
+    Rng(1).serdeState(ar);
+    ar.end();
+    Archive in(ar.payload());
+    EXPECT_DEATH(c.serdeState(in),
+                 "cache 'victim' line 1: saved valid=1 disagrees");
+}

@@ -3,23 +3,31 @@
  * Snapshot/restore integration tests: failure modes of the versioned
  * checkpoint envelope (truncation, wrong magic, older or newer
  * version, a corrupt payload, config-fingerprint mismatch, lengths
- * and counts near 2^64 behind a valid checksum) and the bit-identity
- * guarantee — a run restored from a mid-run checkpoint must reproduce
- * the straight run's stats exactly, including mid-epoch EpochSeries
- * alignment.
+ * and counts near 2^64 behind a valid checksum), restore-time
+ * validation of component state (ROB cursors, footprint rows, the
+ * miss-queue order) and the bit-identity guarantee — a run restored
+ * from a mid-run checkpoint must reproduce the straight run's stats
+ * exactly, including mid-epoch EpochSeries alignment and a four-core
+ * mix with fills and miss events in flight.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/binfmt.hh"
 #include "common/serde.hh"
+#include "cpu/core.hh"
+#include "metrics_equal.hh"
+#include "sim/experiment.hh"
 #include "sim/system.hh"
+#include "workload/workload_spec.hh"
 #include "workload/spec_profiles.hh"
 #include "workload/synth_trace.hh"
 
@@ -110,6 +118,48 @@ runRestored(const SimConfig &cfg, const std::string &path)
     sys.loadSnapshot(path);
     sys.run();
     return statsDump(sys);
+}
+
+/** A "core" section for a @p rob-slot window with the given cursors. */
+std::vector<unsigned char>
+craftedCore(unsigned rob, unsigned head, unsigned tail, unsigned count)
+{
+    Archive ar;
+    ar.section("core");
+    ar.expectCount(rob, "ROB slots");
+    for (unsigned i = 0; i < rob; ++i) {
+        bool is_mem = false, is_load = false, done = true;
+        Cycle done_at = 0;
+        ar.io(is_mem);
+        ar.io(is_load);
+        ar.io(done);
+        ar.io(done_at);
+    }
+    ar.io(head);
+    ar.io(tail);
+    ar.io(count);
+    TraceEntry pending{};
+    std::uint32_t gap_left = 0;
+    bool have_pending = false, trace_done = false;
+    ar.io(pending.gap);
+    ar.io(pending.addr);
+    ar.io(pending.isWrite);
+    ar.io(gap_left);
+    ar.io(have_pending);
+    ar.io(trace_done);
+    ar.end();
+    auto p = ar.payload();
+    return {p.begin(), p.end()};
+}
+
+/** Load @p bytes into a fresh 8-slot core. */
+void
+restoreCore(const std::vector<unsigned char> &bytes)
+{
+    VectorTraceSource trace({});
+    Core core(3, CoreConfig{4, 8}, trace, [](Addr, bool, unsigned) {});
+    Archive in(bytes);
+    core.serdeState(in);
 }
 
 } // namespace
@@ -266,6 +316,84 @@ TEST(SnapshotDeathTest, ConfigFingerprintMismatchIsFatal)
                  "config fingerprint mismatch");
 }
 
+TEST(SnapshotDeathTest, RobCursorsOutsideTheWindowAreFatal)
+{
+    restoreCore(craftedCore(8, 7, 0, 8)); // the largest legal state
+    EXPECT_DEATH(restoreCore(craftedCore(8, 8, 0, 0)),
+                 "core3 ROB cursors head 8 tail 0 count 0 do not fit "
+                 "its 8 slots");
+    EXPECT_DEATH(restoreCore(craftedCore(8, 0, 9, 0)),
+                 "core3 ROB cursors head 0 tail 9");
+    EXPECT_DEATH(restoreCore(craftedCore(8, 0, 0, 9)),
+                 "core3 ROB cursors head 0 tail 0 count 9");
+}
+
+TEST(SnapshotDeathTest, FootprintRowOutsideGeometryIsFatal)
+{
+    SimConfig cfg = snapConfig();
+    SyntheticTrace trace(snapProfile(), 1);
+    System sys(cfg, {&trace});
+    DasManager &das = sys.manager();
+    das.access(0x1000, false, 0, Continuation{}, 0);
+    ASSERT_EQ(das.footprintRows(), 1u);
+
+    // The footprint closes the section: its one row is the last field.
+    Archive ar;
+    das.serdeState(ar);
+    std::vector<unsigned char> bytes(ar.payload().begin(),
+                                     ar.payload().end());
+    const std::uint64_t total = cfg.geom.totalRows();
+    std::memcpy(bytes.data() + bytes.size() - 8, &total, 8);
+    Archive in(bytes);
+    EXPECT_DEATH(das.serdeState(in),
+                 "DAS manager footprint row 1048576 is outside the "
+                 "geometry's 1048576 rows");
+}
+
+TEST(SnapshotDeathTest, UnorderedMissQueueIsFatal)
+{
+    // A well-formed start of System::serdeState whose two pending
+    // miss events are out of (tick, seq) order — a version-4 heap
+    // array is generally not ascending.
+    std::string path = tmpPath("snap_miss_order.ckpt");
+    SimConfig cfg = snapConfig();
+    Archive ar;
+    std::uint64_t fp = configFingerprint(cfg);
+    ar.io(fp);
+    ar.section("system");
+    std::uint64_t now = 0, event_seq = 2, warm_stamp = 0;
+    bool warm = false;
+    ar.io(now);
+    ar.io(event_seq);
+    ar.io(warm);
+    ar.io(warm_stamp);
+    std::uint64_t n_events = 2;
+    ar.io(n_events);
+    for (std::uint64_t seq : {1u, 0u}) {
+        Cycle at = 100;
+        unsigned core = 0, slot = 0;
+        Addr line = 0x40 * (seq + 1);
+        bool is_write = false;
+        Cycle issue = 0;
+        ar.io(at);
+        ar.io(seq);
+        ar.io(core);
+        ar.io(slot);
+        ar.io(line);
+        ar.io(is_write);
+        ar.io(issue);
+    }
+    ar.end();
+    writeCraftedCheckpoint(path, ar);
+
+    SyntheticTrace trace(snapProfile(), 1);
+    System sys(cfg, {&trace});
+    EXPECT_DEATH(sys.loadSnapshot(path),
+                 "miss event 1 \\(tick 100, seq 0\\) does not follow "
+                 "event 0 \\(tick 100, seq 1\\)");
+    std::remove(path.c_str());
+}
+
 TEST(Snapshot, RestoredRunIsBitIdentical)
 {
     std::string path = tmpPath("snap_mid.ckpt");
@@ -314,5 +442,45 @@ TEST(Snapshot, WarmupCheckpointSkipsWarmup)
     std::string straight = statsDump(s1);
     std::string restored = runRestored(cfg, path);
     EXPECT_EQ(straight, restored);
+    std::remove(path.c_str());
+}
+
+TEST(Snapshot, MidRunMixRestoreIsBitIdentical)
+{
+    // The four-core M1 mix: shared LLC and MSHRs, several cores' fills
+    // in flight at once. The checkpoint tick must catch MSHR entries
+    // with waiters and a non-empty miss queue, so both round-trip.
+    std::string path = tmpPath("snap_mix.ckpt");
+    WorkloadSpec w = WorkloadSpec::parse("spec:M1");
+    SimConfig cfg = snapConfig();
+    cfg.numCores = w.numCores();
+    cfg.instructionsPerCore = 60'000;
+    const Cycle tick = 240'000;
+
+    auto build = [&](std::vector<std::unique_ptr<TraceSource>> &traces) {
+        traces = buildTraces(w, cfg.seed, cfg.geom.rowBytes,
+                             cfg.geom.lineBytes);
+        std::vector<TraceSource *> ptrs;
+        for (auto &t : traces)
+            ptrs.push_back(t.get());
+        return std::make_unique<System>(cfg, ptrs);
+    };
+
+    std::vector<std::unique_ptr<TraceSource>> t1;
+    std::unique_ptr<System> straight = build(t1);
+    straight->scheduleCheckpoint(tick, path);
+    RunMetrics straight_m = straight->run();
+
+    std::vector<std::unique_ptr<TraceSource>> t2;
+    std::unique_ptr<System> restored = build(t2);
+    restored->loadSnapshot(path);
+    EXPECT_GT(restored->mshrs().waiterCount(), 0u)
+        << "no MSHR waiters at the checkpoint tick; move it";
+    EXPECT_GT(restored->pendingMissEvents(), 0u)
+        << "empty miss queue at the checkpoint tick; move it";
+    RunMetrics restored_m = restored->run();
+
+    expectMetricsExactlyEqual(straight_m, restored_m);
+    EXPECT_EQ(statsDump(*straight), statsDump(*restored));
     std::remove(path.c_str());
 }
