@@ -12,7 +12,6 @@ Bank::activate(Cycle now, std::uint64_t row, RowClass cls)
 {
     if (!canActivate(now, row))
         panic("Bank::activate timing violation at cycle {}", now);
-    ++version_;
     hasOpenRow_ = true;
     openRow_ = row;
     openClass_ = cls;
@@ -28,7 +27,6 @@ Bank::precharge(Cycle now)
 {
     if (!canPrecharge(now))
         panic("Bank::precharge timing violation at cycle {}", now);
-    ++version_;
     const ArrayTiming &at = timing_->array(openClass_);
     actAllowedAt_ = std::max(actAllowedAt_, now + at.tRP);
     hasOpenRow_ = false;
@@ -39,7 +37,6 @@ Bank::read(Cycle now)
 {
     if (!canColumn(now))
         panic("Bank::read timing violation at cycle {}", now);
-    ++version_;
     const ArrayTiming &at = timing_->array(openClass_);
     preAllowedAt_ = std::max(preAllowedAt_, now + timing_->tRTP);
     return now + at.tCL + timing_->tBL;
@@ -50,7 +47,6 @@ Bank::write(Cycle now)
 {
     if (!canColumn(now))
         panic("Bank::write timing violation at cycle {}", now);
-    ++version_;
     Cycle burst_end = now + timing_->tCWL + timing_->tBL;
     preAllowedAt_ = std::max(preAllowedAt_, burst_end + timing_->tWR);
     return burst_end;
@@ -67,7 +63,6 @@ Bank::reserve(Cycle now, Cycle duration, std::uint64_t row_lo,
         openRow_ != exempt_a && openRow_ != exempt_b) {
         panic("Bank::reserve with the open row inside the range");
     }
-    ++version_;
     reservedUntil_ = now + duration;
     reservedBusyTotal_ += duration;
     resRowLo_ = row_lo;
@@ -81,14 +76,12 @@ Bank::refresh(Cycle done_at)
 {
     if (hasOpenRow_)
         panic("Bank::refresh requires a precharged bank");
-    ++version_;
     actAllowedAt_ = std::max(actAllowedAt_, done_at);
 }
 
 void
 Bank::reset()
 {
-    ++version_;
     hasOpenRow_ = false;
     openRow_ = 0;
     openClass_ = RowClass::Slow;

@@ -22,24 +22,11 @@ namespace dasdram
  * One DRAM bank. The owning channel controller is responsible for
  * rank-level (tRRD/tFAW/refresh) and channel-level (bus) constraints;
  * the bank tracks only its own state and earliest-allowed times.
- *
- * Every state transition (ACT/PRE/RD/WR, reservation, refresh, reset)
- * bumps a monotone version counter. The controller keys its cached
- * earliest-command-ready cycles on these versions, so a cache entry is
- * valid exactly while the bank state it was derived from is unchanged.
  */
 class Bank
 {
   public:
     explicit Bank(const DramTiming &timing) : timing_(&timing) {}
-
-    /**
-     * Monotone state-version counter: incremented by every mutator
-     * (activate, precharge, read, write, reserve, refresh, reset).
-     * Readiness caches derived from this bank's state are valid iff
-     * the version they were computed at still matches.
-     */
-    std::uint64_t version() const { return version_; }
 
     /** True iff a row is latched in the row buffer. */
     bool hasOpenRow() const { return hasOpenRow_; }
@@ -160,13 +147,11 @@ class Bank
     /** Restore power-up state (testing). */
     void reset();
 
-    /** Checkpoint the full bank state machine, including the version
-     *  counter (restored caches keyed on it stay consistent) and the
+    /** Checkpoint the full bank state machine, including the
      *  reservation busy-time accumulator blame attribution reads. */
     void
     serdeState(Archive &ar)
     {
-        ar.io(version_);
         ar.io(hasOpenRow_);
         ar.io(openRow_);
         ar.io(openClass_);
@@ -183,8 +168,6 @@ class Bank
 
   private:
     const DramTiming *timing_;
-
-    std::uint64_t version_ = 0;
 
     bool hasOpenRow_ = false;
     std::uint64_t openRow_ = 0;

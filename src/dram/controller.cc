@@ -112,12 +112,6 @@ ChannelController::mergedBankReadLatency() const
     return merged;
 }
 
-Bank &
-ChannelController::bankOf(const MemRequest &r)
-{
-    return ranks_[r.loc.rank].bank(r.loc.bank);
-}
-
 const Bank &
 ChannelController::bankOf(const MemRequest &r) const
 {
@@ -169,10 +163,7 @@ ChannelController::stampSpanAdmit(MemRequest &req, Cycle now)
                                        req.loc.bank, req.loc.row);
     s.admitCycle = now;
     // Migration holding the target row at admit (its end cycle), and
-    // the readiness lower bound the scheduler itself would compute —
-    // requestReadyAt is semantically transparent (a pure function of
-    // versioned state, cached at the value a later query would see),
-    // so asking early cannot perturb scheduling.
+    // the bank/rank/bus readiness lower bound at admit.
     s.blockedUntilCycle =
         bank.rowBlocked(now, req.loc.row) ? bank.reservedUntil() : 0;
     s.readyCycle = std::max(now, requestReadyAt(req));
@@ -236,20 +227,11 @@ void
 ChannelController::retireCompletions(Cycle now)
 {
     while (!completions_.empty() && completions_.front().at <= now) {
-        Completion c = completions_.front();
         std::pop_heap(completions_.begin(), completions_.end(),
                       std::greater<Completion>());
+        Completion c = std::move(completions_.back());
         completions_.pop_back();
-        auto it = std::find_if(inflight_.begin(), inflight_.end(),
-                               [&](const std::unique_ptr<MemRequest> &p) {
-                                   return p.get() == c.req;
-                               });
-        if (it == inflight_.end())
-            panic("completion for unknown in-flight request");
-        std::unique_ptr<MemRequest> req = std::move(*it);
-        *it = std::move(inflight_.back());
-        inflight_.pop_back();
-        finish(std::move(req), c.at, ServiceLocation::RowBuffer);
+        finish(std::move(c.req), c.at, ServiceLocation::RowBuffer);
     }
 
     for (std::size_t i = 0; i < activeMigrations_.size();) {
@@ -475,7 +457,6 @@ ChannelController::tryColumn(MemRequest &req, Cycle now)
         return false;
 
     // Issue the column command.
-    ++busVer_; // bus state below changes: bus-keyed caches stale
     nextColAllowedAt_ = now + timing_->tCCD;
     lastBusRank_ = static_cast<int>(req.loc.rank);
     lastBusWasWrite_ = req.isWrite;
@@ -540,10 +521,9 @@ ChannelController::issueColumnFor(
     if (owned->isWrite) {
         finish(std::move(owned), end, ServiceLocation::RowBuffer);
     } else {
-        completions_.push_back({end, owned.get()});
+        completions_.push_back({end, std::move(owned)});
         std::push_heap(completions_.begin(), completions_.end(),
                        std::greater<Completion>());
-        inflight_.push_back(std::move(owned));
     }
     return true;
 }
@@ -559,7 +539,10 @@ ChannelController::tryRowCommand(MemRequest &req, Cycle now)
     if (bank.hasOpenRow()) {
         if (bank.openRow() == req.loc.row)
             return false; // already open; waiting on column constraints
-        // Conflict: precharge, but not under pending hits to the open row.
+        // Conflict: precharge, but not under pending hits to the open
+        // row. Both checks are pure, so the cheap timing one goes first.
+        if (!bank.canPrecharge(now))
+            return false;
         auto hits_open_row = [&](const auto &queue) {
             for (const auto &r : queue) {
                 if (r->loc.sameBank(req.loc) &&
@@ -570,8 +553,6 @@ ChannelController::tryRowCommand(MemRequest &req, Cycle now)
             return false;
         };
         if (hits_open_row(readQueue_) || hits_open_row(writeQueue_))
-            return false;
-        if (!bank.canPrecharge(now))
             return false;
         if (cfg_.histograms) {
             BankStats &bs = bankStatsOf(req.loc.rank, req.loc.bank);
@@ -647,22 +628,17 @@ ChannelController::issueFromQueue(
     if (queue.empty())
         return false;
 
-    // Batched scan: a request whose cached ready cycle has not arrived
-    // provably fails every scheduling check below, so both passes skip
-    // it on an O(1) comparison. The cache is keyed on the bank/rank/bus
-    // versions, so only requests whose target bank's (or the bus's)
-    // readiness actually changed are re-examined in full.
-    //
-    // Pass 1: oldest ready row hit.
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        if (requestMaybeIssuable(*queue[i], now) &&
-            issueColumnFor(queue, i, now)) {
-            return true;
+    // Pass 1: oldest ready row hit. Every column command waits out the
+    // channel-wide tCCD window, so before it no row hit can issue.
+    if (now >= nextColAllowedAt_) {
+        for (std::size_t i = 0; i < queue.size(); ++i) {
+            if (issueColumnFor(queue, i, now))
+                return true;
         }
     }
     // Pass 2: oldest request that can make row-level progress.
     for (auto &reqp : queue) {
-        if (requestMaybeIssuable(*reqp, now) && tryRowCommand(*reqp, now))
+        if (tryRowCommand(*reqp, now))
             return true;
     }
     return false;
@@ -705,28 +681,16 @@ ChannelController::requestReadyAt(const MemRequest &req) const
     const Rank &rank = ranks_[req.loc.rank];
     const Bank &bank = rank.bank(req.loc.bank);
 
-    MemRequest::SchedCache &sc = req.sched;
-    if (sc.bankVer == bank.version() && sc.rankVer == rank.version() &&
-        (sc.busVer == busVer_ ||
-         sc.busVer == MemRequest::SchedCache::kBusAny)) {
-        return sc.readyAt;
-    }
-
-    // ACT and conflict-PRE bounds never touch the bus state, so their
-    // entries carry kBusAny and survive the column-issue churn that
-    // bumps busVer_ every few cycles under load.
-    std::uint64_t bus_key = MemRequest::SchedCache::kBusAny;
     Cycle t;
     if (!bank.hasOpenRow()) {
-        // ACT path. Refresh-due gating is left to tryRowCommand: a
-        // due refresh is not a bank/rank version bump.
+        // ACT path. A due refresh is not counted: it gates the ACT in
+        // tryRowCommand only.
         t = std::max(bank.actAllowedAt(), rank.activateAllowedAt());
     } else if (bank.openRow() != req.loc.row) {
         // Conflict-PRE path. Pending hits to the open row may hold the
         // PRE back further, so this bound is merely early, never late.
         t = bank.preAllowedAt();
     } else {
-        bus_key = busVer_;
         // Column path: bank CAS window, channel tCCD, tWTR (reads), and
         // the data bus with any rank/direction switch penalty — the same
         // constraints tryColumn checks, inverted into an earliest cycle.
@@ -747,29 +711,14 @@ ChannelController::requestReadyAt(const MemRequest &req) const
         if (bus_ready > t + cas)
             t = bus_ready - cas;
     }
-
-    sc.readyAt = t;
-    sc.bankVer = bank.version();
-    sc.rankVer = rank.version();
-    sc.busVer = bus_key;
     return t;
-}
-
-bool
-ChannelController::requestMaybeIssuable(const MemRequest &req,
-                                        Cycle now) const
-{
-    const Bank &bank = bankOf(req);
-    if (bank.rowBlocked(now, req.loc.row))
-        return false;
-    return requestReadyAt(req) <= now;
 }
 
 bool
 ChannelController::busy() const
 {
     return !readQueue_.empty() || !writeQueue_.empty() ||
-           !inflight_.empty() || !migrations_.empty() ||
+           !completions_.empty() || !migrations_.empty() ||
            !activeMigrations_.empty();
 }
 
@@ -805,37 +754,19 @@ ChannelController::serdeState(Archive &ar)
     serdeRequestQueue(ar, readQueue_);
     serdeRequestQueue(ar, writeQueue_);
     ar.io(drainingWrites_);
-    serdeRequestQueue(ar, inflight_);
 
-    // The completion heap is stored as its raw array of (cycle,
-    // in-flight index) pairs: restoring the identical array restores
-    // the identical heap, including the pop order of same-cycle ties.
+    // The completion heap is stored as its raw array, each in-flight
+    // read inline: restoring the identical array restores the
+    // identical heap, including the pop order of same-cycle ties.
     std::uint64_t n = completions_.size();
     ar.ioCount(n);
     if (ar.loading())
         completions_.resize(static_cast<std::size_t>(n));
-    for (auto &c : completions_) {
+    for (Completion &c : completions_) {
         ar.io(c.at);
-        std::uint64_t idx = 0;
-        if (ar.saving()) {
-            auto it = std::find_if(
-                inflight_.begin(), inflight_.end(),
-                [&](const std::unique_ptr<MemRequest> &p) {
-                    return p.get() == c.req;
-                });
-            if (it == inflight_.end())
-                panic("checkpoint: completion for a request not in "
-                      "the in-flight set");
-            idx = static_cast<std::uint64_t>(it - inflight_.begin());
-        }
-        ar.io(idx);
-        if (ar.loading()) {
-            if (idx >= inflight_.size())
-                fatal("checkpoint: completion index {} out of range "
-                      "({} in flight)",
-                      idx, inflight_.size());
-            c.req = inflight_[static_cast<std::size_t>(idx)].get();
-        }
+        if (ar.loading())
+            c.req = std::make_unique<MemRequest>();
+        c.req->serdeState(ar);
     }
 
     ar.io(nextMigrationId_);
@@ -858,8 +789,51 @@ ChannelController::serdeState(Archive &ar)
     ar.io(nextColAllowedAt_);
     ar.io(lastBusRank_);
     ar.io(lastBusWasWrite_);
-    ar.io(busVer_);
     ar.end();
+    if (ar.loading())
+        checkRestored();
+}
+
+void
+ChannelController::checkRestored() const
+{
+    auto check_rank_bank = [&](const char *what, std::size_t i,
+                               unsigned rank, unsigned bank) {
+        if (rank >= geom_.ranksPerChannel || bank >= geom_.banksPerRank)
+            fatal("checkpoint: channel {} {} {} rank {} bank {} is outside "
+                  "the geometry's {} ranks of {} banks",
+                  channelId_, what, i, rank, bank, geom_.ranksPerChannel,
+                  geom_.banksPerRank);
+    };
+    auto check_request = [&](const char *what, std::size_t i,
+                             const MemRequest &req) {
+        if (req.loc.channel != channelId_)
+            fatal("checkpoint: channel {} {} {} is routed to channel {}",
+                  channelId_, what, i, req.loc.channel);
+        check_rank_bank(what, i, req.loc.rank, req.loc.bank);
+        if (req.loc.row >= geom_.rowsPerBank)
+            fatal("checkpoint: channel {} {} {} row {} is outside the "
+                  "geometry's {} rows",
+                  channelId_, what, i, req.loc.row, geom_.rowsPerBank);
+    };
+    for (std::size_t i = 0; i < readQueue_.size(); ++i)
+        check_request("read-queue request", i, *readQueue_[i]);
+    for (std::size_t i = 0; i < writeQueue_.size(); ++i)
+        check_request("write-queue request", i, *writeQueue_[i]);
+    for (std::size_t i = 0; i < completions_.size(); ++i)
+        check_request("in-flight read", i, *completions_[i].req);
+    if (!std::is_heap(completions_.begin(), completions_.end(),
+                      std::greater<Completion>()))
+        fatal("checkpoint: channel {} in-flight reads are not a min-heap "
+              "on completion cycle",
+              channelId_);
+    for (std::size_t i = 0; i < migrations_.size(); ++i)
+        check_rank_bank("pending migration", i, migrations_[i].rank,
+                        migrations_[i].bank);
+    for (std::size_t i = 0; i < activeMigrations_.size(); ++i)
+        check_rank_bank("active migration", i,
+                        activeMigrations_[i].second.rank,
+                        activeMigrations_[i].second.bank);
 }
 
 } // namespace dasdram

@@ -222,25 +222,27 @@ class ChannelController
     /// @{
 
     /**
-     * Checkpoint the channel: ranks and banks, both queues, in-flight
-     * reads, the completion heap (raw array, preserving exact
+     * Checkpoint the channel: ranks and banks, both queues, the
+     * completion heap of in-flight reads (raw array, preserving exact
      * tie-break pop order), migrations and bus/scheduler bookkeeping.
      * Stats are not stored here — they ride the owner's StatGroup
      * serdeTree pass. Sink wiring is not stored either: restored work
      * completes to whatever sink the owner installed at construction.
+     * A restored request or job outside this channel's geometry, or a
+     * completion array that is not a heap, is a fatal().
      */
     void serdeState(Archive &ar);
     /// @}
 
   private:
+    /** An in-flight read, owned until its data burst ends at `at`. */
     struct Completion
     {
         Cycle at;
-        MemRequest *req;
+        std::unique_ptr<MemRequest> req;
         bool operator>(const Completion &o) const { return at > o.at; }
     };
 
-    Bank &bankOf(const MemRequest &r);
     const Bank &bankOf(const MemRequest &r) const;
 
     /** Report completions due at or before @p now to the sink. */
@@ -265,24 +267,16 @@ class ChannelController
     bool tryRowCommand(MemRequest &req, Cycle now);
 
     /**
-     * Absolute lower bound on the cycle at which @p req could issue its
-     * next command — column, ACT or conflict PRE — derived from the
-     * current bank/rank/bus state. Cached in req.sched keyed on the
-     * three state versions; any command touching them recomputes it.
-     * The bound is now-free, so one entry answers every cycle's
-     * "ready by now?" query while the state is unchanged.
+     * Lower bound on the cycle at which @p req could issue its next
+     * command — column, ACT or conflict PRE — from the current
+     * bank/rank/bus state. A pure function; the scheduler does not use
+     * it. stampSpanAdmit() records it as the span's readyCycle.
      */
     Cycle requestReadyAt(const MemRequest &req) const;
 
-    /**
-     * Cheap necessary condition for @p req issuing any command at
-     * @p now: not reservation-blocked and its cached absolute ready
-     * cycle has arrived. False lets the batched queue scan skip the
-     * request without re-running the full scheduling checks — sound
-     * because the bound is never late, exact because the full checks
-     * still run when it passes.
-     */
-    bool requestMaybeIssuable(const MemRequest &req, Cycle now) const;
+    /** fatal() unless every restored request and migration job lies
+     *  inside this channel's geometry and completions_ is a heap. */
+    void checkRestored() const;
 
     /** Record stats, report @p req to the sink, then destroy it. */
     void finish(std::unique_ptr<MemRequest> req, Cycle at,
@@ -326,13 +320,11 @@ class ChannelController
 
     /**
      * In-flight reads awaiting data completion: a min-heap on `at`
-     * kept with push_heap/pop_heap over an explicit vector (identical
-     * pop order to the std::priority_queue it replaces), so a
+     * kept with push_heap/pop_heap over an explicit vector, so a
      * checkpoint can serialise the raw heap array verbatim and restore
      * the exact tie-break order.
      */
     std::vector<Completion> completions_;
-    std::vector<std::unique_ptr<MemRequest>> inflight_;
 
     CommandSink *sink_ = nullptr;
     RequestTraceSink *spanSink_ = nullptr;
@@ -348,10 +340,6 @@ class ChannelController
     Cycle nextColAllowedAt_ = 0;
     int lastBusRank_ = -1;
     bool lastBusWasWrite_ = false;
-
-    /** Bumped whenever the bus state above changes (column issue);
-     *  keys the bus-dependent readiness-cache entries. */
-    std::uint64_t busVer_ = 0;
 
     /// @name Statistics
     /// @{

@@ -39,7 +39,6 @@ Rank::recordActivate(Cycle now)
 {
     if (!canActivate(now))
         panic("Rank::recordActivate violates tRRD/tFAW at cycle {}", now);
-    ++version_;
     actTimes_[actHead_] = now;
     actHead_ = (actHead_ + 1) % actTimes_.size();
     lastActAt_ = now;
@@ -49,7 +48,6 @@ Rank::recordActivate(Cycle now)
 void
 Rank::recordWriteBurst(Cycle burst_end)
 {
-    ++version_;
     readAllowedAt_ = std::max(readAllowedAt_, burst_end + timing_->tWTR);
 }
 
@@ -68,7 +66,6 @@ Rank::refresh(Cycle now)
 {
     if (!allBanksIdle(now))
         panic("Rank::refresh with open or reserved banks at cycle {}", now);
-    ++version_;
     Cycle done = now + timing_->tRFC;
     refreshingUntil_ = done;
     refreshBusyTotal_ += timing_->tRFC;

@@ -30,13 +30,6 @@ class Rank
     const Bank &bank(unsigned i) const { return banks_[i]; }
     unsigned numBanks() const { return static_cast<unsigned>(banks_.size()); }
 
-    /**
-     * Monotone version counter over the rank-wide timing state
-     * (tRRD/tFAW window, tWTR, refresh schedule). Does not cover the
-     * banks — each Bank carries its own version().
-     */
-    std::uint64_t version() const { return version_; }
-
     /// @name Activation window (tRRD / tFAW)
     /// @{
     bool canActivate(Cycle now) const;
@@ -110,7 +103,6 @@ class Rank
         ar.io(refreshingUntil_);
         ar.io(refreshBusyTotal_);
         ar.io(refreshCount_);
-        ar.io(version_);
         ar.end();
     }
 
@@ -129,7 +121,6 @@ class Rank
     Cycle refreshingUntil_ = 0;
     Cycle refreshBusyTotal_ = 0;
     std::uint64_t refreshCount_ = 0;
-    std::uint64_t version_ = 0;
 };
 
 } // namespace dasdram

@@ -46,12 +46,6 @@ MemRequest::serdeState(Archive &ar)
         span.reset();
     }
     ar.end();
-    if (ar.loading()) {
-        // The readiness cache keys on bank/rank/bus versions that are
-        // themselves restored, but recomputation is cheap and keeps
-        // the invariant trivially true.
-        sched = SchedCache{};
-    }
 }
 
 const char *

@@ -62,31 +62,6 @@ struct MemRequest
     bool servicedFast = false;
 
     /**
-     * Controller-owned scratch: the cached absolute earliest cycle this
-     * request's next command (column, ACT or conflict PRE) could issue,
-     * plus the bank/rank/bus state versions it was computed at. Valid
-     * iff all three versions still match; any command touching the
-     * request's bank, rank or the channel bus invalidates it. Mutable
-     * because the const readiness query fills it.
-     */
-    struct SchedCache
-    {
-        static constexpr std::uint64_t kNoVer = ~std::uint64_t{0};
-        /**
-         * busVer value for entries whose readiness path (ACT or
-         * conflict PRE) never consulted the shared data bus: they stay
-         * valid across column issues, which bump the channel bus
-         * version every few cycles under load.
-         */
-        static constexpr std::uint64_t kBusAny = kNoVer - 1;
-        Cycle readyAt = 0;
-        std::uint64_t bankVer = kNoVer;
-        std::uint64_t rankVer = kNoVer;
-        std::uint64_t busVer = kNoVer;
-    };
-    mutable SchedCache sched;
-
-    /**
      * Lifecycle span, non-null only for the sampled subset of
      * requests when request tracing is enabled. Strictly
      * observational: nothing may branch on it except tracing code
@@ -104,8 +79,7 @@ struct MemRequest
 
     /**
      * Checkpoint every data field (the span inline when present, with
-     * arrival/ready times and DRAM coordinates). The scheduling cache
-     * is reset to invalid on load.
+     * arrival/ready times and DRAM coordinates).
      */
     void serdeState(Archive &ar);
 

@@ -22,7 +22,7 @@ struct FixedLatencyMemory
     Cycle latency = 0;
     Cycle now = 0;
     Core *core = nullptr; ///< set after the core is constructed
-    std::vector<std::pair<Cycle, unsigned>> pending; ///< (ready, slot)
+    std::vector<std::pair<Cycle, unsigned>> pending{}; ///< (ready, slot)
 
     Core::MemAccessFn
     fn()
@@ -81,8 +81,8 @@ TEST(Core, SlowMemoryReducesIpc)
 {
     VectorTraceSource fast_trace(uniformTrace(500, 3));
     VectorTraceSource slow_trace(uniformTrace(500, 3));
-    FixedLatencyMemory fast_mem{cpuCyclesToTicks(4), 0, {}};
-    FixedLatencyMemory slow_mem{cpuCyclesToTicks(400), 0, {}};
+    FixedLatencyMemory fast_mem{.latency = cpuCyclesToTicks(4)};
+    FixedLatencyMemory slow_mem{.latency = cpuCyclesToTicks(400)};
     Core fast_core(0, {}, fast_trace, fast_mem.fn());
     Core slow_core(1, {}, slow_trace, slow_mem.fn());
     fast_mem.core = &fast_core;
@@ -106,7 +106,7 @@ TEST(Core, WindowAllowsMemoryLevelParallelism)
     // must finish far faster than serialized loads would.
     const Cycle lat = cpuCyclesToTicks(100);
     VectorTraceSource trace(uniformTrace(400, 3));
-    FixedLatencyMemory mem{lat, 0, {}};
+    FixedLatencyMemory mem{.latency = lat};
     Core core(0, {}, trace, mem.fn());
     mem.core = &core;
     Cycle t = 0;

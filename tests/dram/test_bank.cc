@@ -150,65 +150,3 @@ TEST_F(BankDeathTest, ReserveOverOpenRowInRangePanics)
     bank.activate(0, 40, RowClass::Slow);
     EXPECT_DEATH(bank.reserve(1, 100, 32, 64), "open row");
 }
-
-// The readiness cache in the controller keys on the bank version: every
-// mutator must bump it, and non-mutating queries must not, or a cached
-// earliest-ready cycle would survive a state transition it depends on.
-TEST_F(BankTest, VersionBumpsOnEveryMutator)
-{
-    std::uint64_t v = bank.version();
-
-    bank.activate(0, 5, RowClass::Slow);
-    EXPECT_GT(bank.version(), v);
-    v = bank.version();
-
-    bank.read(timing.slow.tRCD);
-    EXPECT_GT(bank.version(), v);
-    v = bank.version();
-
-    bank.write(timing.slow.tRCD + 10);
-    EXPECT_GT(bank.version(), v);
-    v = bank.version();
-
-    Cycle pre_at = bank.preAllowedAt();
-    bank.precharge(pre_at);
-    EXPECT_GT(bank.version(), v);
-    v = bank.version();
-
-    bank.reserve(pre_at, 100, 32, 64, 40, 50);
-    EXPECT_GT(bank.version(), v);
-    v = bank.version();
-
-    bank.refresh(pre_at + 200 + timing.tRFC);
-    EXPECT_GT(bank.version(), v);
-    v = bank.version();
-
-    bank.reset();
-    EXPECT_GT(bank.version(), v);
-}
-
-TEST_F(BankTest, VersionStableAcrossQueries)
-{
-    bank.activate(0, 5, RowClass::Fast);
-    const std::uint64_t v = bank.version();
-    (void)bank.hasOpenRow();
-    (void)bank.openRow();
-    (void)bank.canColumn(timing.fast.tRCD);
-    (void)bank.canPrecharge(timing.fast.tRAS);
-    (void)bank.canActivate(0, 9);
-    (void)bank.rowBlocked(0, 5);
-    (void)bank.reserved(0);
-    EXPECT_EQ(bank.version(), v);
-}
-
-// Reset is an invalidation edge of its own: any cached ready cycle
-// derived from pre-reset state must be discarded even though the bank
-// looks "idle" again afterwards.
-TEST_F(BankTest, ResetInvalidatesDespiteIdleLookalike)
-{
-    const std::uint64_t v0 = bank.version();
-    bank.activate(0, 1, RowClass::Slow);
-    bank.reset();
-    EXPECT_FALSE(bank.hasOpenRow());
-    EXPECT_GT(bank.version(), v0);
-}

@@ -111,35 +111,3 @@ TEST_F(RankDeathTest, RefreshWithOpenBankPanics)
     rank.bank(0).activate(0, 1, RowClass::Slow);
     EXPECT_DEATH(rank.refresh(timing.tREFI), "open or reserved");
 }
-
-// The controller's readiness cache keys on rank.version() for the
-// rank-wide constraints (tRRD/tFAW window, tWTR, refresh): each of the
-// rank-level mutators must bump it and queries must leave it alone.
-TEST_F(RankTest, VersionBumpsOnRankMutators)
-{
-    std::uint64_t v = rank.version();
-
-    rank.recordActivate(0);
-    EXPECT_GT(rank.version(), v);
-    v = rank.version();
-
-    rank.recordWriteBurst(100);
-    EXPECT_GT(rank.version(), v);
-    v = rank.version();
-
-    rank.refresh(timing.tREFI);
-    EXPECT_GT(rank.version(), v);
-}
-
-TEST_F(RankTest, VersionStableAcrossQueries)
-{
-    rank.recordActivate(0);
-    const std::uint64_t v = rank.version();
-    (void)rank.canActivate(1);
-    (void)rank.activateAllowedAt();
-    (void)rank.readAllowedAt();
-    (void)rank.refreshDue(0);
-    (void)rank.nextRefreshAt();
-    (void)rank.allBanksIdle(1);
-    EXPECT_EQ(rank.version(), v);
-}

@@ -8,12 +8,12 @@
  *     tick-domain interface must issue the same command stream as a
  *     bare ChannelController ticked every memory cycle, across the
  *     cycle on which the write-drain hysteresis flips.
- *  2. Directed tests pinning the exact issue cycle after every
- *     readiness-cache invalidation edge: ACT, conflict PRE, refresh
- *     start/end, migration issue/complete (including
- *     reservation-exempt rows) and the row-class dependence. A stale
- *     MemRequest::SchedCache entry that overstated a request's ready
- *     cycle would delay one of these commands and fail the test.
+ *  2. Directed tests pinning the exact issue cycle after every bank,
+ *     rank and bus state change the scheduler must see: ACT, conflict
+ *     PRE, refresh start/end, migration issue/complete (including
+ *     reservation-exempt rows) and the row-class dependence. A
+ *     scheduling check that ran late, or was skipped while it could
+ *     pass, would delay one of these commands and fail the test.
  */
 
 #include <gtest/gtest.h>
@@ -260,11 +260,11 @@ struct DirectedHarness
 } // namespace
 
 /**
- * ACT edge: issuing the ACT must invalidate the request's cached ready
- * cycle — it moves from "ACT now" to the column window opened by that
- * ACT, and the RD lands exactly on the tRCD boundary.
+ * ACT edge: issuing the ACT moves the request's next command from
+ * "ACT now" to the column window opened by that ACT, and the RD lands
+ * exactly on the tRCD boundary.
  */
-TEST(ReadinessCache, ActMovesHorizonToColumnWindow)
+TEST(IssueCycle, ActMovesHorizonToColumnWindow)
 {
     DirectedHarness h;
     h.enqueueRead(5, 0);
@@ -284,7 +284,7 @@ TEST(ReadinessCache, ActMovesHorizonToColumnWindow)
  * after the RD); the whole PRE → ACT → RD ladder then lands on the
  * exact cycles the timing derives.
  */
-TEST(ReadinessCache, ConflictPrechargeLadderIsExact)
+TEST(IssueCycle, ConflictPrechargeLadderIsExact)
 {
     DirectedHarness h;
     h.enqueueRead(5, 0);
@@ -317,7 +317,7 @@ TEST(ReadinessCache, ConflictPrechargeLadderIsExact)
  * a request arriving mid-tRFC activates exactly when the refresh
  * window closes.
  */
-TEST(ReadinessCache, RefreshWindowGatesActivation)
+TEST(IssueCycle, RefreshWindowGatesActivation)
 {
     DirectedHarness h(/*refresh=*/true);
     h.runTo(h.timing.tREFI);
@@ -336,7 +336,7 @@ TEST(ReadinessCache, RefreshWindowGatesActivation)
  * a blocked row's first command lands exactly at the reservation end;
  * the two rows being swapped stay serviceable mid-migration.
  */
-TEST(ReadinessCache, MigrationReservationBlocksAllButExemptRows)
+TEST(IssueCycle, MigrationReservationBlocksAllButExemptRows)
 {
     DirectedHarness h;
     MigrationJob job;
@@ -375,11 +375,11 @@ TEST(ReadinessCache, MigrationReservationBlocksAllButExemptRows)
 }
 
 /**
- * Row-class edge: the cached column window must track the class of the
+ * Row-class edge: the column window must track the class of the
  * activated row — fast rows open tRCD_fast after the ACT, slow rows
  * tRCD_slow, under the same asymmetric layout.
  */
-TEST(ReadinessCache, RowClassSelectsColumnWindow)
+TEST(IssueCycle, RowClassSelectsColumnWindow)
 {
     DramGeometry geom;
     LayoutConfig lcfg;
