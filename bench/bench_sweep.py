@@ -11,15 +11,15 @@ so every point restores one. The builds alternate within each
 repetition, so host drift hits them alike. The warm sweep's JSONL must
 equal the cold one's. Prints one JSON document (the BENCH_sweep.json
 format): the host and, per label, the median wall and user (child CPU)
-seconds of the cold and the warm sweep, with each build's CMake build
-type.
+seconds and peak RSS of the cold and the warm sweep, the bytes the
+cold sweep left in the warm dir, and each build's CMake build type.
+User seconds and peak RSS are the sweep process's own, from wait4().
 """
 
 import argparse
 import json
 import os
 import platform
-import resource
 import shutil
 import statistics
 import subprocess
@@ -54,13 +54,20 @@ def build_type(build_dir):
 
 
 def timed(cmd, env):
-    """Run @cmd; returns (wall s, user s of the child)."""
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+    """Run @cmd; returns (wall s, user s, peak RSS MiB) of that process
+    alone (RUSAGE_CHILDREN would fold in every earlier child's peak)."""
     start = time.monotonic()
-    subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
     wall = time.monotonic() - start
-    after = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
-    return wall, after - before
+    if os.waitstatus_to_exitcode(status) != 0:
+        sys.exit(f"{cmd[0]} exited {os.waitstatus_to_exitcode(status)}")
+    return wall, usage.ru_utime, usage.ru_maxrss / 1024.0
+
+
+def dir_bytes(path):
+    return sum(os.path.getsize(os.path.join(path, name))
+               for name in os.listdir(path))
 
 
 def sweep(binary, args, env, work):
@@ -72,6 +79,8 @@ def sweep(binary, args, env, work):
         jsonl = os.path.join(work, phase + ".jsonl")
         out[phase] = timed([binary, *args, "--warm-dir", warm_dir,
                             "--json", jsonl], env)
+        if phase == "cold":
+            out["warm_dir_bytes"] = dir_bytes(warm_dir)
     with open(os.path.join(work, "cold.jsonl")) as a, \
             open(os.path.join(work, "warm.jsonl")) as b:
         if a.read() != b.read():
@@ -111,9 +120,17 @@ def main():
     for label, _, cmake_build_type in builds:
         row = {"label": label, "build_type": cmake_build_type}
         for phase in ("cold", "warm"):
-            for i, unit in enumerate(("wall_s", "user_s")):
+            for i, unit in enumerate(("wall_s", "user_s",
+                                      "peak_rss_mib")):
                 row[f"{phase}_{unit}"] = round(statistics.median(
                     r[phase][i] for r in runs[label]), 3)
+        # Snapshots are deterministic: every repetition must leave the
+        # same bytes.
+        sizes = {r["warm_dir_bytes"] for r in runs[label]}
+        if len(sizes) != 1:
+            sys.exit(f"{label}: warm dir sizes differ across "
+                     f"repetitions: {sorted(sizes)}")
+        row["warm_dir_bytes"] = sizes.pop()
         rows.append(row)
     print(json.dumps({
         "bench": opts.bench, "DAS_SIM_SCALE": float(opts.scale),

@@ -1,5 +1,7 @@
 #include "cache.hh"
 
+#include <algorithm>
+
 #include "common/bitutil.hh"
 #include "common/log.hh"
 
@@ -124,29 +126,60 @@ Cache::invalidate(Addr addr)
 void
 Cache::serdeState(Archive &ar)
 {
-    // Each line saves (tag, valid, dirty, stamp). Valid is derived
-    // from the tag, so a loaded pair that disagrees is refused.
+    // Only valid lines are saved, as (index, tag, dirty, stamp). An
+    // empty way's dirty bit and stamp are never read: insert() fills
+    // it before comparing stamps, and find() matches valid tags only.
     ar.section("cache");
-    ar.expectCount(tags_.size(), "cache lines");
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-        bool valid = tags_[i] != kAddrInvalid;
-        bool dirty = dirty_[i] != 0;
-        ar.io(tags_[i]);
-        ar.io(valid);
-        ar.io(dirty);
-        ar.io(stamps_[i]);
-        if (ar.loading()) {
-            if (valid != (tags_[i] != kAddrInvalid)) {
-                fatal("checkpoint: cache '{}' line {}: saved valid={} "
-                      "disagrees with tag {:x}",
-                      name_, i, valid ? 1 : 0, tags_[i]);
-            }
-            dirty_[i] = dirty ? 1 : 0;
-        }
-    }
     ar.io(stampCounter_);
     rng_.serdeState(ar);
+    if (ar.loading()) {
+        std::fill(tags_.begin(), tags_.end(), kAddrInvalid);
+        std::fill(dirty_.begin(), dirty_.end(), 0);
+        std::fill(stamps_.begin(), stamps_.end(), 0);
+    }
+    ar.liveEntries(
+        tags_.size(), "cache '" + name_ + "' line",
+        [this](std::uint64_t i) { return tags_[i] != kAddrInvalid; },
+        [&](std::uint64_t i) {
+            bool dirty = dirty_[i] != 0;
+            ar.io(tags_[i]);
+            ar.io(dirty);
+            ar.io(stamps_[i]);
+            if (ar.loading()) {
+                dirty_[i] = dirty ? 1 : 0;
+                checkRestoredLine(static_cast<std::size_t>(i));
+            }
+        });
     ar.end();
+}
+
+void
+Cache::checkRestoredLine(std::size_t i) const
+{
+    const Addr tag = tags_[i];
+    if (tag == kAddrInvalid) {
+        fatal("checkpoint: cache '{}' line {}: saved as live with the "
+              "empty-way tag",
+              name_, i);
+    }
+    const std::size_t base = i - i % cfg_.assoc;
+    if (lineAddr(tag) != tag || setBase(tag) != base) {
+        fatal("checkpoint: cache '{}' line {}: tag {:x} does not belong "
+              "to set {}",
+              name_, i, tag, base / cfg_.assoc);
+    }
+    for (std::size_t w = base; w < i; ++w) {
+        if (tags_[w] == tag) {
+            fatal("checkpoint: cache '{}' line {}: tag {:x} repeats line "
+                  "{} of its set",
+                  name_, i, tag, w);
+        }
+    }
+    if (stamps_[i] > stampCounter_) {
+        fatal("checkpoint: cache '{}' line {}: stamp {} is newer than the "
+              "stamp counter {}",
+              name_, i, stamps_[i], stampCounter_);
+    }
 }
 
 double

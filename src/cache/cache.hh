@@ -98,8 +98,9 @@ class Cache
     /** Fraction of lines currently valid (for warm-up checks). */
     double occupancy() const;
 
-    /** Checkpoint directory contents, recency stamps and the
-     *  replacement RNG (stats ride the owner's StatGroup tree). */
+    /** Checkpoint the valid lines (tag, dirty, recency stamp), the
+     *  stamp counter and the replacement RNG (stats ride the owner's
+     *  StatGroup tree). */
     void serdeState(Archive &ar);
 
     StatGroup &stats() { return statGroup_; }
@@ -118,6 +119,10 @@ class Cache
 
     /** Directory slot holding @p line, or kNoWay. */
     std::size_t find(Addr line) const;
+
+    /** Loader: fatal() unless restored line @p i is a valid, unique
+     *  member of its set, stamped no later than the counter. */
+    void checkRestoredLine(std::size_t i) const;
 
     CacheConfig cfg_;
     std::string name_;

@@ -38,6 +38,18 @@ Archive::truncated(const char *what) const
 }
 
 void
+Archive::badEntryIndex(std::string_view what, std::uint64_t i,
+                       std::uint64_t n, std::uint64_t prev)
+{
+    if (i >= n)
+        fatal("checkpoint: {} {} is outside the table's {} entries", what,
+              i, n);
+    fatal("checkpoint: {} {} does not follow {} {}: live entries are "
+          "saved in ascending order",
+          what, i, what, prev);
+}
+
+void
 Archive::io(std::string &s)
 {
     std::uint64_t n = s.size();

@@ -38,6 +38,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -132,6 +133,46 @@ class Archive
             truncated("container");
     }
 
+    /**
+     * A table of @p n entries stored as its live entries only: their
+     * count, then each live entry's index in ascending order followed
+     * by the fields @p fields(i) reads or writes. Saving visits every
+     * index i < n with @p live(i) true, so the bytes depend on the
+     * contents alone. Loading checks each index is below @p n and
+     * above the previous one, else fatal() naming @p what and the
+     * index; the caller resets the table to its constructed state
+     * first and validates the fields.
+     */
+    template <typename Live, typename Fields>
+    void
+    liveEntries(std::uint64_t n, std::string_view what, Live live,
+                Fields fields)
+    {
+        std::uint64_t count = 0;
+        if (saving_) {
+            const std::size_t at = pos_;
+            raw64(count); // patched once the entries are written
+            for (std::uint64_t i = 0; i < n; ++i) {
+                if (live(i)) {
+                    raw64(i);
+                    fields(i);
+                    ++count;
+                }
+            }
+            std::memcpy(out_ + at, &count, 8);
+            return;
+        }
+        ioCount(count);
+        for (std::uint64_t k = 0, prev = 0; k < count; ++k) {
+            std::uint64_t i = 0;
+            raw64(i);
+            if (i >= n || (k > 0 && i <= prev))
+                badEntryIndex(what, i, n, prev);
+            fields(i);
+            prev = i;
+        }
+    }
+
     /** Raw byte blob of a known (unframed) size. */
     void blob(void *p, std::size_t n);
 
@@ -201,6 +242,12 @@ class Archive
 
     void grow(std::size_t n);
     [[noreturn]] void truncated(const char *what) const;
+    /** Loader: live entry @p i is out of range, or not above the
+     *  previous entry @p prev. */
+    [[noreturn]] static void badEntryIndex(std::string_view what,
+                                           std::uint64_t i,
+                                           std::uint64_t n,
+                                           std::uint64_t prev);
 
     bool saving_;
     unsigned char *out_ = nullptr;      ///< saver: realloc-grown buffer

@@ -1,5 +1,8 @@
 #include "replacement_policy.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/log.hh"
 
 namespace dasdram
@@ -82,6 +85,93 @@ FastSlotReplacement::chooseVictim(std::uint64_t group)
         return static_cast<unsigned>(globalCounter_++ % slots_);
     }
     return 0;
+}
+
+namespace
+{
+
+/**
+ * Zero-run code for a table whose untouched entries are 0 and whose
+ * values never exceed @p top. Each token, of the table's own element
+ * type, is either the next entry's value (t <= top) or a run of
+ * t - top zero entries. A token covers at least one entry, so the
+ * code is never longer than the table; trailing zeros are dropped.
+ * With no token value above @p top, zeros are written as values.
+ */
+template <typename T>
+std::vector<T>
+zeroRunEncode(const std::vector<T> &table, std::uint64_t top)
+{
+    const std::uint64_t t_max = std::numeric_limits<T>::max();
+    const std::uint64_t max_run = top < t_max ? t_max - top : 0;
+    std::vector<T> tokens;
+    std::uint64_t run = 0;
+    for (T v : table) {
+        if (v == 0) {
+            ++run;
+            continue;
+        }
+        while (run > 0) {
+            const std::uint64_t k = max_run ? std::min(run, max_run) : 1;
+            tokens.push_back(static_cast<T>(max_run ? top + k : 0));
+            run -= k;
+        }
+        tokens.push_back(v);
+    }
+    return tokens;
+}
+
+/** Save or load @p table as its zero-run code (count, then the
+ *  tokens in host byte order, as Archive's fields are). */
+template <typename T>
+void
+serdeZeroRuns(Archive &ar, std::vector<T> &table, std::uint64_t top,
+              const char *what)
+{
+    std::vector<T> tokens;
+    if (ar.saving())
+        tokens = zeroRunEncode(table, top);
+    std::uint64_t count = tokens.size();
+    ar.io(count);
+    if (ar.loading()) {
+        if (count > table.size()) {
+            fatal("checkpoint: fastRepl {}: {} tokens for {} entries", what,
+                  count, table.size());
+        }
+        tokens.resize(static_cast<std::size_t>(count));
+    }
+    ar.blob(tokens.data(), tokens.size() * sizeof(T));
+    if (ar.saving())
+        return;
+    std::fill(table.begin(), table.end(), T{0});
+    std::uint64_t pos = 0;
+    for (T t : tokens) {
+        const std::uint64_t k = t > top ? t - top : 1;
+        if (k > table.size() - pos) {
+            fatal("checkpoint: fastRepl {}: the token at entry {} covers "
+                  "{} entries, past the table's {}",
+                  what, pos, k, table.size());
+        }
+        if (t <= top)
+            table[pos] = t;
+        pos += k;
+    }
+}
+
+} // namespace
+
+void
+FastSlotReplacement::serdeState(Archive &ar)
+{
+    ar.section("fastRepl");
+    ar.io(stampCounter_);
+    ar.io(globalCounter_);
+    rng_.serdeState(ar);
+    // Every stamp is at most the counter and every cursor is below
+    // the slot count; larger token values encode the zero runs.
+    serdeZeroRuns(ar, lastUse_, stampCounter_, "LRU stamps");
+    serdeZeroRuns(ar, seqPtr_, slots_ - 1, "sequential cursors");
+    ar.end();
 }
 
 } // namespace dasdram

@@ -52,20 +52,13 @@ class FastSlotReplacement
     FastReplPolicy policy() const { return policy_; }
     unsigned slotsPerGroup() const { return slots_; }
 
-    /** Checkpoint per-group recency/cursor state and the RNG. */
-    void
-    serdeState(Archive &ar)
-    {
-        ar.section("fastRepl");
-        ar.io(lastUse_);
-        ar.expectCount(seqPtr_.size(), "sequential cursors");
-        if (!seqPtr_.empty())
-            ar.blob(seqPtr_.data(), seqPtr_.size());
-        ar.io(stampCounter_);
-        ar.io(globalCounter_);
-        rng_.serdeState(ar);
-        ar.end();
-    }
+    /**
+     * Checkpoint the counters, the RNG and the touched entries of the
+     * per-group recency stamps and cursors. Untouched entries are 0
+     * and are folded into zero runs (see replacement_policy.cc), so
+     * the saved form is never longer than the dense tables.
+     */
+    void serdeState(Archive &ar);
 
   private:
     FastReplPolicy policy_;

@@ -1,5 +1,7 @@
 #include "translation_cache.hh"
 
+#include <algorithm>
+
 #include "common/bitutil.hh"
 #include "common/log.hh"
 
@@ -96,9 +98,56 @@ TranslationCache::insert(GlobalRowId row)
 void
 TranslationCache::invalidate(GlobalRowId row)
 {
-    // The row stays behind as a stale tag: snapshots save it.
     if (std::size_t i = find(row); i != kNoWay)
         valid_[i] = 0;
+}
+
+void
+TranslationCache::serdeState(Archive &ar)
+{
+    ar.section("transCache");
+    ar.io(stampCounter_);
+    if (ar.loading()) {
+        std::fill(rows_.begin(), rows_.end(), ~0ULL);
+        std::fill(valid_.begin(), valid_.end(), 0);
+        std::fill(stamps_.begin(), stamps_.end(), 0);
+    }
+    ar.liveEntries(
+        rows_.size(), "tag-cache entry",
+        [this](std::uint64_t i) { return valid_[i] != 0; },
+        [&](std::uint64_t i) {
+            ar.io(rows_[i]);
+            ar.io(stamps_[i]);
+            if (ar.loading()) {
+                valid_[i] = 1;
+                checkRestoredEntry(static_cast<std::size_t>(i));
+            }
+        });
+    ar.end();
+}
+
+void
+TranslationCache::checkRestoredEntry(std::size_t i) const
+{
+    const GlobalRowId row = rows_[i];
+    const std::size_t base = i - i % assoc_;
+    if (setBase(row) != base) {
+        fatal("checkpoint: tag-cache entry {}: row {} does not belong to "
+              "set {}",
+              i, row, base / assoc_);
+    }
+    for (std::size_t w = base; w < i; ++w) {
+        if (valid_[w] && rows_[w] == row) {
+            fatal("checkpoint: tag-cache entry {}: row {} repeats entry {} "
+                  "of its set",
+                  i, row, w);
+        }
+    }
+    if (stamps_[i] > stampCounter_) {
+        fatal("checkpoint: tag-cache entry {}: stamp {} is newer than the "
+              "stamp counter {}",
+              i, stamps_[i], stampCounter_);
+    }
 }
 
 } // namespace dasdram

@@ -65,24 +65,11 @@ class TranslationCache
 
     StatGroup &stats() { return statGroup_; }
 
-    /** Checkpoint tags, validity and recency (hit/miss counters ride
-     *  the owner's StatGroup serdeTree pass). Each entry saves (row,
-     *  valid, stamp); an invalidated entry keeps its stale row. */
-    void
-    serdeState(Archive &ar)
-    {
-        ar.section("transCache");
-        ar.expectCount(rows_.size(), "tag-cache entries");
-        for (std::size_t i = 0; i < rows_.size(); ++i) {
-            bool valid = valid_[i] != 0;
-            ar.io(rows_[i]);
-            ar.io(valid);
-            ar.io(stamps_[i]);
-            valid_[i] = valid ? 1 : 0;
-        }
-        ar.io(stampCounter_);
-        ar.end();
-    }
+    /** Checkpoint the valid entries as (index, row, stamp) and the
+     *  stamp counter (hit/miss counters ride the owner's StatGroup
+     *  serdeTree pass). An invalid entry's stale row and stamp are
+     *  never read, so they are not saved. */
+    void serdeState(Archive &ar);
 
   private:
     /** Entry index of a miss. */
@@ -93,6 +80,11 @@ class TranslationCache
 
     /** Valid entry holding @p row, or kNoWay. */
     std::size_t find(GlobalRowId row) const;
+
+    /** Loader: fatal() unless restored entry @p i belongs to its set,
+     *  holds a row no other entry of the set holds, and is stamped no
+     *  later than the counter. */
+    void checkRestoredEntry(std::size_t i) const;
 
     std::uint64_t capacity_;
     unsigned assoc_;

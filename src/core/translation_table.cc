@@ -1,5 +1,6 @@
 #include "translation_table.hh"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/log.hh"
@@ -88,6 +89,46 @@ TranslationTable::logicalInFastSlot(std::uint64_t group,
     if (fast_slot >= layout_->fastSlotsPerGroup())
         panic("fast slot index out of range");
     return group * groupSize_ + inverse_[group * groupSize_ + fast_slot];
+}
+
+void
+TranslationTable::serdeState(Archive &ar)
+{
+    ar.section("transTable");
+    if (ar.loading())
+        reset();
+    ar.liveEntries(
+        layout_->totalGroups(), "translation-table group",
+        [this](std::uint64_t g) {
+            // A permutation is sorted only when it is the identity.
+            const std::uint8_t *p = &perm_[g * groupSize_];
+            return !std::is_sorted(p, p + groupSize_);
+        },
+        [&](std::uint64_t g) {
+            std::uint8_t *p = &perm_[g * groupSize_];
+            ar.blob(p, groupSize_);
+            if (ar.loading())
+                restoreInverse(g);
+        });
+    ar.io(swaps_);
+    ar.end();
+}
+
+void
+TranslationTable::restoreInverse(std::uint64_t g)
+{
+    const std::uint8_t *p = &perm_[g * groupSize_];
+    std::uint8_t *inv = &inverse_[g * groupSize_];
+    std::vector<bool> seen(groupSize_, false);
+    for (unsigned s = 0; s < groupSize_; ++s) {
+        if (p[s] >= groupSize_ || seen[p[s]]) {
+            fatal("checkpoint: translation-table group {}: slot {} maps to "
+                  "{}, so the group is not a permutation of 0..{}",
+                  g, s, unsigned{p[s]}, groupSize_ - 1);
+        }
+        seen[p[s]] = true;
+        inv[p[s]] = static_cast<std::uint8_t>(s);
+    }
 }
 
 } // namespace dasdram

@@ -72,23 +72,20 @@ class TranslationTable
 
     const AsymmetricLayout &layout() const { return *layout_; }
 
-    /** Checkpoint both permutation arrays and the swap counter (shapes
-     *  are layout-derived and gated). */
-    void
-    serdeState(Archive &ar)
-    {
-        ar.section("transTable");
-        ar.expectCount(perm_.size(), "translation entries");
-        if (!perm_.empty()) {
-            ar.blob(perm_.data(), perm_.size());
-            ar.blob(inverse_.data(), inverse_.size());
-        }
-        ar.io(swaps_);
-        ar.end();
-    }
+    /**
+     * Checkpoint the groups that differ from the identity as (group,
+     * G permutation bytes), and the swap counter. A group only leaves
+     * the identity when a promotion swaps within it, so most are
+     * never saved; the inverse permutations are rebuilt on load.
+     */
+    void serdeState(Archive &ar);
 
   private:
     std::uint64_t groupIndex(GlobalRowId row) const;
+
+    /** Loader: rebuild group @p g's inverse from its restored
+     *  permutation, fatal() unless it permutes 0..G-1. */
+    void restoreInverse(std::uint64_t g);
 
     const AsymmetricLayout *layout_;
     unsigned groupSize_;

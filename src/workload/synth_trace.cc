@@ -75,6 +75,66 @@ SyntheticTrace::reset()
 }
 
 void
+SyntheticTrace::serdeState(Archive &ar)
+{
+    ar.section("synthTrace");
+    // The vector sizes are the ones reset() derives from the profile.
+    ar.expectCount(streamPos_.size(), "synthTrace streamPos");
+    for (std::uint64_t &pos : streamPos_)
+        ar.io(pos);
+    ar.io(nextStream_);
+    ar.expectCount(sliceSalt_.size(), "synthTrace sliceSalt");
+    for (std::uint64_t &salt : sliceSalt_)
+        ar.io(salt);
+    ar.expectCount(workSet_.size(), "synthTrace workSet");
+    for (std::uint64_t &page : workSet_)
+        ar.io(page);
+    ar.io(workHead_);
+    for (Addr &a : recent_)
+        ar.io(a);
+    ar.io(recentCount_);
+    ar.io(runLeft_);
+    ar.io(runLine_);
+    ar.io(instCount_);
+    ar.io(nextPhaseAt_);
+    ar.io(phase_);
+    ar.io(gapMean_);
+    rng_.serdeState(ar);
+    ar.end();
+    if (ar.loading())
+        checkRestored();
+}
+
+void
+SyntheticTrace::checkRestored() const
+{
+    const std::uint64_t lines = footprintPages_ * linesPerPage_;
+    auto refuse = [this](const char *field, std::uint64_t value,
+                         std::uint64_t bound) {
+        fatal("checkpoint: synthTrace '{}' {} {} is not below {}",
+              prof_.name, field, value, bound);
+    };
+    for (std::uint64_t pos : streamPos_) {
+        if (pos >= lines)
+            refuse("streamPos line", pos, lines);
+    }
+    if (nextStream_ >= streamPos_.size())
+        refuse("nextStream", nextStream_, streamPos_.size());
+    for (std::uint64_t page : workSet_) {
+        if (page >= activeRegionPages_)
+            refuse("workSet page", page, activeRegionPages_);
+    }
+    if (workHead_ >= workSet_.size())
+        refuse("workHead", workHead_, workSet_.size());
+    for (Addr line : recent_) {
+        if (line >= lines)
+            refuse("recent line", line, lines);
+    }
+    if (runLine_ >= lines)
+        refuse("runLine", runLine_, lines);
+}
+
+void
 SyntheticTrace::maybeAdvancePhase()
 {
     if (prof_.phaseInstructions == 0 || instCount_ < nextPhaseAt_)

@@ -56,31 +56,15 @@ class SyntheticTrace : public TraceSource
     /** Checkpoint the generator's dynamic state (stream cursors, hot
      *  salts, working set, reuse window, RNG). Knobs derived from the
      *  (profile, seed) constructor arguments are not stored — the
-     *  snapshot fingerprint guarantees they match on restore. */
-    void
-    serdeState(Archive &ar) override
-    {
-        ar.section("synthTrace");
-        ar.io(streamPos_);
-        ar.io(nextStream_);
-        ar.io(sliceSalt_);
-        ar.io(workSet_);
-        ar.io(workHead_);
-        for (Addr &a : recent_)
-            ar.io(a);
-        ar.io(recentCount_);
-        ar.io(runLeft_);
-        ar.io(runLine_);
-        ar.io(instCount_);
-        ar.io(nextPhaseAt_);
-        ar.io(phase_);
-        ar.io(gapMean_);
-        rng_.serdeState(ar);
-        ar.end();
-    }
+     *  snapshot fingerprint guarantees they match on restore, and
+     *  the loader refuses vector sizes and cursors they rule out. */
+    void serdeState(Archive &ar) override;
 
   private:
     Addr pickLine();
+    /** Loader: fatal() unless every cursor and stored line or page is
+     *  inside the bounds the constructor derived. */
+    void checkRestored() const;
     void maybeAdvancePhase();
 
     BenchmarkProfile prof_;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -173,8 +174,9 @@ namespace
  * The directory as an array of {tag, valid, dirty, stamp} structs
  * with a division-based set index: the layout Cache had before its
  * split-tag arrays, kept here as the reference model. Its snapshot
- * writes the same records, so the two payloads must match byte for
- * byte.
+ * writes the stamp counter, the RNG and then each valid line as
+ * (index, tag, dirty, stamp), so the two payloads must match byte
+ * for byte.
  */
 class RefCache
 {
@@ -265,15 +267,21 @@ class RefCache
     serdeState(Archive &ar)
     {
         ar.section("cache");
-        ar.expectCount(lines_.size(), "cache lines");
-        for (Line &l : lines_) {
+        ar.io(stampCounter_);
+        rng_.serdeState(ar);
+        std::uint64_t live = 0;
+        for (const Line &l : lines_)
+            live += l.valid ? 1 : 0;
+        ar.io(live);
+        for (std::uint64_t i = 0; i < lines_.size(); ++i) {
+            Line &l = lines_[i];
+            if (!l.valid)
+                continue;
+            ar.io(i);
             ar.io(l.tag);
-            ar.io(l.valid);
             ar.io(l.dirty);
             ar.io(l.stamp);
         }
-        ar.io(stampCounter_);
-        rng_.serdeState(ar);
         ar.end();
     }
 
@@ -417,28 +425,183 @@ TEST(Cache, SaveLoadSaveRoundTripsBytes)
     }
 }
 
-TEST(CacheDeathTest, SavedValidDisagreeingWithTagIsFatal)
+namespace
 {
-    const CacheConfig cfg{128, 2, 64};
-    Cache c(cfg, "victim");
-    // A valid line whose tag is the empty-way marker.
+
+/** One saved line of a crafted "cache" section. */
+struct CraftedLine
+{
+    std::uint64_t index;
+    Addr tag;
+    std::uint64_t stamp = 1;
+};
+
+/** A "cache" section holding @p lines, stamp counter @p counter. */
+std::vector<unsigned char>
+craftedCache(const std::vector<CraftedLine> &lines,
+             std::uint64_t counter = 10)
+{
     Archive ar;
     ar.section("cache");
-    ar.expectCount(2, "cache lines");
-    for (int way = 0; way < 2; ++way) {
-        Addr tag = kAddrInvalid;
-        bool valid = way == 1, dirty = false;
-        std::uint64_t stamp = 0;
-        ar.io(tag);
-        ar.io(valid);
-        ar.io(dirty);
-        ar.io(stamp);
-    }
-    std::uint64_t counter = 0;
     ar.io(counter);
     Rng(1).serdeState(ar);
+    std::uint64_t n = lines.size();
+    ar.io(n);
+    for (CraftedLine l : lines) {
+        bool dirty = false;
+        ar.io(l.index);
+        ar.io(l.tag);
+        ar.io(dirty);
+        ar.io(l.stamp);
+    }
     ar.end();
-    Archive in(ar.payload());
-    EXPECT_DEATH(c.serdeState(in),
-                 "cache 'victim' line 1: saved valid=1 disagrees");
+    auto p = ar.payload();
+    return {p.begin(), p.end()};
+}
+
+/** Load @p bytes into a fresh 2-set, 2-way cache named "victim". */
+void
+restoreCache(const std::vector<unsigned char> &bytes)
+{
+    Cache c({256, 2, 64}, "victim");
+    Archive in(bytes);
+    c.serdeState(in);
+    in.finish();
+}
+
+} // namespace
+
+TEST(CacheDeathTest, SavedValidDisagreeingWithTagIsFatal)
+{
+    // A live line whose tag is the empty-way marker.
+    restoreCache(craftedCache({{0, 0}, {1, 128}})); // well formed
+    EXPECT_DEATH(restoreCache(craftedCache({{0, 0}, {1, kAddrInvalid}})),
+                 "cache 'victim' line 1: saved as live with the empty-way "
+                 "tag");
+}
+
+TEST(CacheDeathTest, LiveLineIndexOutOfRangeOrOrderIsFatal)
+{
+    EXPECT_DEATH(restoreCache(craftedCache({{4, 0}})),
+                 "cache 'victim' line 4 is outside the table's 4 entries");
+    EXPECT_DEATH(restoreCache(craftedCache({{1, 128}, {0, 0}})),
+                 "cache 'victim' line 0 does not follow cache 'victim' "
+                 "line 1");
+    EXPECT_DEATH(restoreCache(craftedCache({{1, 128}, {1, 384}})),
+                 "cache 'victim' line 1 does not follow cache 'victim' "
+                 "line 1");
+}
+
+TEST(CacheDeathTest, TagOutsideItsSetIsFatal)
+{
+    // Line 64 maps to set 1, not set 0; 0x41 is not line-aligned.
+    EXPECT_DEATH(restoreCache(craftedCache({{0, 64}})),
+                 "cache 'victim' line 0: tag 40 does not belong to set 0");
+    EXPECT_DEATH(restoreCache(craftedCache({{0, 0x41}})),
+                 "cache 'victim' line 0: tag 41 does not belong to set 0");
+}
+
+TEST(CacheDeathTest, RepeatedTagInASetIsFatal)
+{
+    EXPECT_DEATH(restoreCache(craftedCache({{0, 128}, {1, 128}})),
+                 "cache 'victim' line 1: tag 80 repeats line 0 of its set");
+}
+
+TEST(CacheDeathTest, StampNewerThanTheCounterIsFatal)
+{
+    restoreCache(craftedCache({{0, 0, 10}})); // stamp == counter is legal
+    EXPECT_DEATH(restoreCache(craftedCache({{0, 0, 11}})),
+                 "cache 'victim' line 0: stamp 11 is newer than the stamp "
+                 "counter 10");
+}
+
+namespace
+{
+
+class CacheMidRunRestore : public ::testing::TestWithParam<CacheRepl>
+{
+};
+
+/** One seeded operation on @p c: (op, hit or victim valid, victim
+ *  line, victim dirty). */
+std::tuple<std::uint64_t, bool, Addr, bool>
+randomOp(Cache &c, Rng &ops, std::uint64_t span)
+{
+    Addr addr = ops.nextBelow(span);
+    bool flag = ops.chance(0.3);
+    switch (std::uint64_t op = ops.nextBelow(4)) {
+      case 0:
+        return {op, c.access(addr, flag), 0, false};
+      case 1: {
+        Cache::Eviction ev = c.insert(addr, flag);
+        return {op, ev.valid, ev.line, ev.dirty};
+      }
+      case 2:
+        return {op, c.invalidate(addr), 0, false};
+      default:
+        return {op, c.probe(addr), 0, false};
+    }
+}
+
+} // namespace
+
+TEST_P(CacheMidRunRestore, DroppedStateIsNeverRead)
+{
+    // Seeded traffic with invalidations, so the original's empty ways
+    // keep stale dirty bits and stamps. Save midway, restore into a
+    // cache with other contents and another RNG seed (the RNG must
+    // come from the snapshot) and drive both with the same
+    // operations: every hit, victim and later snapshot must agree.
+    const CacheConfig cfg{4 * KiB, 4, 64, GetParam()};
+    const std::uint64_t span = 4 * cfg.sizeBytes;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        Cache a(cfg, "c", seed);
+        Rng ops(seed * 104729);
+        for (int i = 0; i < 5000; ++i)
+            randomOp(a, ops, span);
+        std::vector<unsigned char> mid = savedBytes(a);
+        // Restore over other contents: loading must reset, not merge.
+        Cache b(cfg, "c", seed + 100);
+        Rng other(seed + 7);
+        for (int i = 0; i < 3000; ++i)
+            randomOp(b, other, span);
+        Archive in(mid);
+        b.serdeState(in);
+        in.finish();
+        ASSERT_EQ(savedBytes(b), mid) << "save-load-save, seed " << seed;
+        ASSERT_EQ(a.occupancy(), b.occupancy());
+        const std::uint64_t evictions_at_save = a.evictions();
+        const std::uint64_t b_evictions_at_load = b.evictions();
+        Rng ops_b = ops;
+        for (int i = 0; i < 20000; ++i) {
+            ASSERT_EQ(randomOp(a, ops, span), randomOp(b, ops_b, span))
+                << "step " << i << ", seed " << seed;
+            if (i % 2500 == 0) {
+                ASSERT_EQ(savedBytes(a), savedBytes(b)) << "step " << i;
+            }
+        }
+        EXPECT_EQ(savedBytes(a), savedBytes(b)) << "seed " << seed;
+        EXPECT_EQ(a.evictions() - evictions_at_save,
+                  b.evictions() - b_evictions_at_load);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, CacheMidRunRestore,
+                         ::testing::Values(CacheRepl::Lru,
+                                           CacheRepl::Random));
+
+TEST(Cache, FullDirectorySavesNoMoreThanTheDenseForm)
+{
+    // The dense form saved a count and (tag, valid, dirty, stamp) for
+    // every line: an empty directory's section plus 32 bytes a line.
+    // A live line saves (index, tag, dirty, stamp), so a full
+    // directory's section is exactly that long.
+    const CacheConfig cfg{4 * KiB, 4, 64};
+    Cache c(cfg, "c");
+    const std::size_t empty = savedBytes(c).size();
+    for (Addr a = 0; a < cfg.sizeBytes; a += 64)
+        c.insert(a, true);
+    ASSERT_DOUBLE_EQ(c.occupancy(), 1.0);
+    EXPECT_EQ(savedBytes(c).size(),
+              empty + cfg.sizeBytes / cfg.lineBytes * 32);
 }

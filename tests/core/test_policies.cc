@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/random.hh"
 #include "core/promotion_policy.hh"
 #include "core/replacement_policy.hh"
 
@@ -128,4 +131,166 @@ TEST(Replacement, RandomStaysInRange)
         seen.insert(v);
     }
     EXPECT_EQ(seen.size(), 4u);
+}
+
+namespace
+{
+
+std::vector<unsigned char>
+savedBytes(FastSlotReplacement &r)
+{
+    Archive ar;
+    r.serdeState(ar);
+    auto p = ar.payload();
+    return {p.begin(), p.end()};
+}
+
+class ReplacementMidRunRestore
+    : public ::testing::TestWithParam<FastReplPolicy>
+{
+};
+
+} // namespace
+
+TEST_P(ReplacementMidRunRestore, VictimsAndSnapshotsMatch)
+{
+    // A sparse touch pattern over 1000 groups (zero runs longer than
+    // one token can hold), save midway, restore into an instance with
+    // other state and another seed, then continue identically on both.
+    const FastReplPolicy policy = GetParam();
+    const std::uint64_t groups = 1000;
+    FastSlotReplacement a(policy, 4, groups, 3);
+    Rng ops(29);
+    auto step = [&](FastSlotReplacement &r, Rng &o) -> int {
+        std::uint64_t grp = o.nextBelow(groups / 50) * 50;
+        if (o.chance(0.6)) {
+            r.onFastAccess(grp, static_cast<unsigned>(o.nextBelow(4)));
+            return -1;
+        }
+        return static_cast<int>(r.chooseVictim(grp));
+    };
+    for (int i = 0; i < 300; ++i)
+        step(a, ops);
+    std::vector<unsigned char> mid = savedBytes(a);
+    // Restore over other state: loading must reset, not merge.
+    FastSlotReplacement b(policy, 4, groups, 99);
+    Rng other(31);
+    for (int i = 0; i < 300; ++i)
+        step(b, other);
+    Archive in(mid);
+    b.serdeState(in);
+    in.finish();
+    ASSERT_EQ(savedBytes(b), mid) << toString(policy);
+    Rng ops_b = ops;
+    for (int i = 0; i < 3000; ++i) {
+        ASSERT_EQ(step(a, ops), step(b, ops_b))
+            << toString(policy) << " step " << i;
+        if (i % 300 == 0) {
+            ASSERT_EQ(savedBytes(a), savedBytes(b))
+                << toString(policy) << " step " << i;
+        }
+    }
+    EXPECT_EQ(savedBytes(a), savedBytes(b)) << toString(policy);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, ReplacementMidRunRestore,
+    ::testing::Values(FastReplPolicy::Lru, FastReplPolicy::Random,
+                      FastReplPolicy::Sequential,
+                      FastReplPolicy::PseudoRandom),
+    [](const auto &info) { return std::string(toString(info.param)); });
+
+TEST(Replacement, TouchedTablesSaveNoMoreThanTheDenseForm)
+{
+    // The dense form saved each LRU stamp as 8 bytes and each cursor
+    // as 1 byte; with every entry touched, the zero-run code is the
+    // same length, and a single touch costs one value and one run.
+    const std::uint64_t groups = 600;
+    FastSlotReplacement lru(FastReplPolicy::Lru, 4, groups);
+    const std::size_t empty = savedBytes(lru).size();
+    lru.onFastAccess(groups - 1, 3);
+    EXPECT_EQ(savedBytes(lru).size(), empty + 16);
+    for (std::uint64_t g = 0; g < groups; ++g) {
+        for (unsigned s = 0; s < 4; ++s)
+            lru.onFastAccess(g, s);
+    }
+    EXPECT_EQ(savedBytes(lru).size(), empty + groups * 4 * 8);
+
+    FastSlotReplacement seq(FastReplPolicy::Sequential, 4, groups);
+    ASSERT_EQ(savedBytes(seq).size(), empty);
+    for (std::uint64_t g = 0; g < groups; ++g)
+        seq.chooseVictim(g);
+    EXPECT_EQ(savedBytes(seq).size(), empty + groups);
+}
+
+TEST(Replacement, CursorsWithoutRoomForRunsRoundTrip)
+{
+    // 256 slots leave no byte value for a zero run: zeros are saved
+    // as values, trailing ones dropped.
+    FastSlotReplacement a(FastReplPolicy::Sequential, 256, 40);
+    for (std::uint64_t g = 0; g < 40; g += 3) {
+        for (std::uint64_t k = 0; k <= g; ++k)
+            a.chooseVictim(g);
+    }
+    std::vector<unsigned char> bytes = savedBytes(a);
+    FastSlotReplacement b(FastReplPolicy::Sequential, 256, 40);
+    Archive in(bytes);
+    b.serdeState(in);
+    in.finish();
+    EXPECT_EQ(savedBytes(b), bytes);
+    for (std::uint64_t g = 0; g < 40; ++g)
+        ASSERT_EQ(a.chooseVictim(g), b.chooseVictim(g)) << g;
+}
+
+namespace
+{
+
+/** A Sequential "fastRepl" section for 4 slots with @p tokens as its
+ *  cursor code. */
+std::vector<unsigned char>
+craftedCursors(std::uint64_t count, std::vector<std::uint8_t> tokens)
+{
+    Archive ar;
+    ar.section("fastRepl");
+    std::uint64_t stamp_counter = 0, global_counter = 0, no_stamps = 0;
+    ar.io(stamp_counter);
+    ar.io(global_counter);
+    Rng(11).serdeState(ar);
+    ar.io(no_stamps);
+    ar.io(count);
+    ar.blob(tokens.data(), tokens.size());
+    ar.end();
+    auto p = ar.payload();
+    return {p.begin(), p.end()};
+}
+
+/** Load @p bytes into a fresh Sequential instance over 10 groups. */
+void
+restoreCursors(const std::vector<unsigned char> &bytes)
+{
+    FastSlotReplacement r(FastReplPolicy::Sequential, 4, 10);
+    Archive in(bytes);
+    r.serdeState(in);
+    in.finish();
+}
+
+} // namespace
+
+TEST(ReplacementDeathTest, ZeroRunPastTheTableIsFatal)
+{
+    // Byte 3 is cursor 3; byte 3 + k is a run of k zero groups.
+    restoreCursors(craftedCursors(2, {3 + 9, 1})); // ends at group 10
+    EXPECT_DEATH(restoreCursors(craftedCursors(2, {3 + 10, 1})),
+                 "fastRepl sequential cursors: the token at entry 10 "
+                 "covers 1 entries, past the table's 10");
+    EXPECT_DEATH(restoreCursors(craftedCursors(1, {3 + 11})),
+                 "fastRepl sequential cursors: the token at entry 0 "
+                 "covers 11 entries, past the table's 10");
+}
+
+TEST(ReplacementDeathTest, MoreTokensThanEntriesIsFatal)
+{
+    EXPECT_DEATH(restoreCursors(craftedCursors(11, std::vector<std::uint8_t>(
+                                                       11, 1))),
+                 "fastRepl sequential cursors: 11 tokens for 10 entries");
 }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/random.hh"
 #include "core/translation_table.hh"
@@ -148,4 +150,157 @@ TEST(TranslationTableDeathTest, CrossGroupSwapPanics)
     AsymmetricLayout l(g, {});
     TranslationTable t(l);
     EXPECT_DEATH(t.swap(0, 40), "across migration groups");
+}
+
+namespace
+{
+
+std::vector<unsigned char>
+savedBytes(TranslationTable &t)
+{
+    Archive ar;
+    t.serdeState(ar);
+    auto p = ar.payload();
+    return {p.begin(), p.end()};
+}
+
+/** A "transTable" section holding (group, permutation) @p groups. */
+std::vector<unsigned char>
+craftedTable(
+    const std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>>
+        &groups)
+{
+    Archive ar;
+    ar.section("transTable");
+    std::uint64_t n = groups.size();
+    ar.io(n);
+    for (auto [g, perm] : groups) {
+        ar.io(g);
+        ar.blob(perm.data(), perm.size());
+    }
+    std::uint64_t swaps = 1;
+    ar.io(swaps);
+    ar.end();
+    auto p = ar.payload();
+    return {p.begin(), p.end()};
+}
+
+/** Group 0..31 with slots 0 and 1 exchanged. */
+std::vector<std::uint8_t>
+swappedPerm()
+{
+    std::vector<std::uint8_t> p(32);
+    for (unsigned s = 0; s < 32; ++s)
+        p[s] = static_cast<std::uint8_t>(s);
+    std::swap(p[0], p[1]);
+    return p;
+}
+
+/** Load @p bytes into a fresh table over smallGeom()'s 8 groups. */
+void
+restoreTable(const std::vector<unsigned char> &bytes)
+{
+    DramGeometry g = smallGeom();
+    AsymmetricLayout l(g, {});
+    TranslationTable t(l);
+    Archive in(bytes);
+    t.serdeState(in);
+    in.finish();
+}
+
+} // namespace
+
+TEST(TranslationTable, MidRunRestoreNeverReadsDroppedState)
+{
+    DramGeometry g = smallGeom();
+    AsymmetricLayout l(g, {});
+    TranslationTable a(l);
+    Rng rng(17);
+    // Swaps over the first four groups only, some of which undo
+    // earlier ones: groups back at the identity are not saved.
+    auto step = [&](TranslationTable &t, Rng &r) {
+        std::uint64_t grp = r.nextBelow(4);
+        GlobalRowId x = grp * 32 + r.nextBelow(32);
+        GlobalRowId y = grp * 32 + r.nextBelow(32);
+        t.swap(x, y);
+        t.swap(x, y);
+        if (r.chance(0.5))
+            t.swap(x, y);
+    };
+    for (int i = 0; i < 200; ++i)
+        step(a, rng);
+    std::vector<unsigned char> mid = savedBytes(a);
+    TranslationTable b(l);
+    b.swap(200, 201); // restore must overwrite, not merge
+    Archive in(mid);
+    b.serdeState(in);
+    in.finish();
+    ASSERT_EQ(savedBytes(b), mid);
+    Rng rng_b = rng;
+    for (int i = 0; i < 400; ++i) {
+        step(a, rng);
+        step(b, rng_b);
+        if (i % 50 == 0) {
+            for (GlobalRowId r = 0; r < g.totalRows(); ++r) {
+                ASSERT_EQ(a.physicalOf(r), b.physicalOf(r)) << r;
+                ASSERT_EQ(a.logicalOf(r), b.logicalOf(r)) << r;
+            }
+            ASSERT_EQ(savedBytes(a), savedBytes(b)) << "step " << i;
+        }
+    }
+    EXPECT_EQ(a.swapCount(), b.swapCount());
+    EXPECT_EQ(savedBytes(a), savedBytes(b));
+}
+
+TEST(TranslationTable, IdentityGroupsAreNotSaved)
+{
+    DramGeometry g = smallGeom();
+    AsymmetricLayout l(g, {});
+    TranslationTable t(l);
+    const std::size_t empty = savedBytes(t).size();
+    t.swap(40, 41);
+    EXPECT_EQ(savedBytes(t).size(), empty + 8 + 32);
+    t.swap(40, 41); // back to the identity
+    EXPECT_EQ(savedBytes(t).size(), empty);
+}
+
+TEST(TranslationTable, FullyPermutedTableSavesNoMoreThanTheDenseForm)
+{
+    // The dense form saved both byte arrays: the empty section plus
+    // 2 * G bytes a group. A permuted group saves its index and its
+    // G permutation bytes.
+    DramGeometry g = smallGeom();
+    AsymmetricLayout l(g, {});
+    TranslationTable t(l);
+    const std::size_t empty = savedBytes(t).size();
+    for (std::uint64_t grp = 0; grp < l.totalGroups(); ++grp)
+        t.swap(grp * 32, grp * 32 + 31);
+    const std::size_t full = savedBytes(t).size();
+    EXPECT_EQ(full, empty + l.totalGroups() * (8 + 32));
+    EXPECT_LE(full, empty + 2 * g.totalRows());
+}
+
+TEST(TranslationTableDeathTest, GroupIndexOutOfRangeOrOrderIsFatal)
+{
+    restoreTable(craftedTable({{2, swappedPerm()}, {7, swappedPerm()}}));
+    EXPECT_DEATH(restoreTable(craftedTable({{8, swappedPerm()}})),
+                 "translation-table group 8 is outside the table's 8 "
+                 "entries");
+    EXPECT_DEATH(
+        restoreTable(craftedTable({{3, swappedPerm()}, {3, swappedPerm()}})),
+        "translation-table group 3 does not follow translation-table "
+        "group 3");
+}
+
+TEST(TranslationTableDeathTest, GroupThatIsNotAPermutationIsFatal)
+{
+    std::vector<std::uint8_t> repeated = swappedPerm();
+    repeated[5] = 4;
+    EXPECT_DEATH(restoreTable(craftedTable({{1, repeated}})),
+                 "translation-table group 1: slot 5 maps to 4, so the "
+                 "group is not a permutation of 0..31");
+    std::vector<std::uint8_t> outside = swappedPerm();
+    outside[31] = 32;
+    EXPECT_DEATH(restoreTable(craftedTable({{6, outside}})),
+                 "translation-table group 6: slot 31 maps to 32");
 }

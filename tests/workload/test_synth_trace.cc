@@ -1,13 +1,17 @@
 /**
  * @file
  * Tests for the synthetic trace generator: determinism, address bounds,
- * calibration properties (memory ratio, write fraction, locality).
+ * calibration properties (memory ratio, write fraction, locality),
+ * and restore-time validation of the saved generator state.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "workload/spec_profiles.hh"
 #include "workload/synth_trace.hh"
@@ -212,4 +216,188 @@ TEST(SpecProfiles, DensityBudgetRespectsFastLevel)
             active;
         EXPECT_LE(density, 4.6) << name;
     }
+}
+
+namespace
+{
+
+/** The fields of a "synthTrace" section, in saved order. */
+struct SynthFields
+{
+    std::vector<std::uint64_t> streamPos;
+    unsigned nextStream = 0;
+    std::vector<std::uint64_t> sliceSalt;
+    std::vector<std::uint64_t> workSet;
+    std::size_t workHead = 0;
+    std::array<Addr, 8> recent{};
+    unsigned recentCount = 0;
+    std::uint64_t runLeft = 0;
+    std::uint64_t runLine = 0;
+    InstCount instCount = 0;
+    InstCount nextPhaseAt = 0;
+    std::uint64_t phase = 0;
+    double gapMean = 0.0;
+    std::array<std::uint64_t, 4> rng{};
+
+    void
+    serde(Archive &ar)
+    {
+        ar.section("synthTrace");
+        ar.io(streamPos);
+        ar.io(nextStream);
+        ar.io(sliceSalt);
+        ar.io(workSet);
+        ar.io(workHead);
+        for (Addr &a : recent)
+            ar.io(a);
+        ar.io(recentCount);
+        ar.io(runLeft);
+        ar.io(runLine);
+        ar.io(instCount);
+        ar.io(nextPhaseAt);
+        ar.io(phase);
+        ar.io(gapMean);
+        for (std::uint64_t &s : rng)
+            ar.io(s);
+        ar.end();
+    }
+};
+
+/** The saved fields of an mcf trace 2000 entries in. */
+SynthFields
+savedMcfFields()
+{
+    SyntheticTrace t(specProfile("mcf"), 3);
+    TraceEntry e;
+    for (int i = 0; i < 2000; ++i)
+        t.next(e);
+    Archive out;
+    t.serdeState(out);
+    SynthFields f;
+    Archive in(out.payload());
+    f.serde(in);
+    in.finish();
+    return f;
+}
+
+/** Lines in mcf's footprint, the bound of every saved line. */
+std::uint64_t
+mcfLines()
+{
+    return SyntheticTrace(specProfile("mcf"), 3).footprintPages() *
+           (8192 / 64);
+}
+
+/** Restore @p f into a fresh mcf trace and draw from it. */
+void
+restoreAndDraw(SynthFields f)
+{
+    Archive out;
+    f.serde(out);
+    SyntheticTrace t(specProfile("mcf"), 3);
+    Archive in(out.payload());
+    t.serdeState(in);
+    in.finish();
+    TraceEntry e;
+    for (int i = 0; i < 2000; ++i)
+        t.next(e);
+}
+
+} // namespace
+
+TEST(SynthTrace, SavedFieldsRestoreAndResume)
+{
+    SynthFields f = savedMcfFields();
+    ASSERT_EQ(f.sliceSalt.size(), 64u);
+    restoreAndDraw(f);
+    f.nextStream = static_cast<unsigned>(f.streamPos.size() - 1);
+    f.workHead = f.workSet.size() - 1;
+    f.runLine = mcfLines() - 1;
+    restoreAndDraw(f); // the largest legal cursors
+}
+
+TEST(SynthTraceDeathTest, StreamPosSizeIsChecked)
+{
+    // An empty stream table used to load and then divide by zero.
+    SynthFields f = savedMcfFields();
+    const std::size_t n = f.streamPos.size();
+    f.streamPos.clear();
+    EXPECT_DEATH(restoreAndDraw(f),
+                 "shape mismatch for synthTrace streamPos: file has 0, "
+                 "this configuration builds " +
+                     std::to_string(n));
+}
+
+TEST(SynthTraceDeathTest, SliceSaltSizeIsChecked)
+{
+    SynthFields f = savedMcfFields();
+    f.sliceSalt.pop_back();
+    EXPECT_DEATH(restoreAndDraw(f),
+                 "shape mismatch for synthTrace sliceSalt: file has 63, "
+                 "this configuration builds 64");
+}
+
+TEST(SynthTraceDeathTest, WorkSetSizeIsChecked)
+{
+    SynthFields f = savedMcfFields();
+    const std::size_t n = f.workSet.size();
+    f.workSet.push_back(0);
+    EXPECT_DEATH(restoreAndDraw(f),
+                 "shape mismatch for synthTrace workSet: file has " +
+                     std::to_string(n + 1));
+}
+
+TEST(SynthTraceDeathTest, NextStreamPastTheStreamsIsFatal)
+{
+    SynthFields f = savedMcfFields();
+    f.nextStream = static_cast<unsigned>(f.streamPos.size());
+    EXPECT_DEATH(restoreAndDraw(f),
+                 "synthTrace 'mcf' nextStream " +
+                     std::to_string(f.nextStream) + " is not below " +
+                     std::to_string(f.nextStream));
+}
+
+TEST(SynthTraceDeathTest, WorkHeadPastTheWorkSetIsFatal)
+{
+    SynthFields f = savedMcfFields();
+    f.workHead = f.workSet.size();
+    EXPECT_DEATH(restoreAndDraw(f),
+                 "synthTrace 'mcf' workHead " + std::to_string(f.workHead) +
+                     " is not below " + std::to_string(f.workHead));
+}
+
+TEST(SynthTraceDeathTest, RunLinePastTheFootprintIsFatal)
+{
+    SynthFields f = savedMcfFields();
+    f.runLine = mcfLines();
+    EXPECT_DEATH(restoreAndDraw(f), "synthTrace 'mcf' runLine " +
+                                        std::to_string(mcfLines()) +
+                                        " is not below " +
+                                        std::to_string(mcfLines()));
+}
+
+TEST(SynthTraceDeathTest, StreamPositionPastTheFootprintIsFatal)
+{
+    SynthFields f = savedMcfFields();
+    f.streamPos.back() = mcfLines();
+    EXPECT_DEATH(restoreAndDraw(f), "synthTrace 'mcf' streamPos line " +
+                                        std::to_string(mcfLines()) +
+                                        " is not below");
+}
+
+TEST(SynthTraceDeathTest, WorkSetPageOutsideTheActiveRegionIsFatal)
+{
+    SynthFields f = savedMcfFields();
+    f.workSet[1] = std::uint64_t{1} << 40;
+    EXPECT_DEATH(restoreAndDraw(f),
+                 "synthTrace 'mcf' workSet page 1099511627776 is not below");
+}
+
+TEST(SynthTraceDeathTest, RecentLinePastTheFootprintIsFatal)
+{
+    SynthFields f = savedMcfFields();
+    f.recent[5] = mcfLines();
+    EXPECT_DEATH(restoreAndDraw(f), "synthTrace 'mcf' recent line " +
+                                        std::to_string(mcfLines()) +
+                                        " is not below");
 }
