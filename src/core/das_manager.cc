@@ -17,8 +17,6 @@ DasManager::DasManager(DramSystem &dram, CacheHierarchy *caches,
     dram.setCompletionSink(this);
     touchedRows_.assign(divCeil(dram.geometry().totalRows(), 64), 0);
     table_ = std::make_unique<TranslationTable>(layout);
-    if (cfg.mode == ManagementMode::Dynamic && !cfg.exclusiveCache)
-        incl_ = std::make_unique<InclusiveDirectory>(layout);
     if (cfg.mode == ManagementMode::Dynamic) {
         if (!caches_)
             fatal("dynamic DAS management requires a cache hierarchy "
@@ -49,9 +47,11 @@ DasManager::DasManager(DramSystem &dram, CacheHierarchy *caches,
                           "translation misses served by DRAM");
     statGroup_.addCounter("writebacks", &writebacks_);
     statGroup_.addCounter("cleanPromotions", &cleanPromotions_,
-                          "inclusive promotions with a clean victim");
+                          "always 0 (every promotion is a swap); kept so "
+                          "stats dumps keep their layout");
     statGroup_.addCounter("dirtyPromotions", &dirtyPromotions_,
-                          "inclusive promotions needing a write-back");
+                          "always 0 (every promotion is a swap); kept so "
+                          "stats dumps keep their layout");
 }
 
 GlobalRowId
@@ -59,15 +59,6 @@ DasManager::physicalFor(GlobalRowId logical) const
 {
     if (cfg_.mode == ManagementMode::None)
         return logical;
-    if (cfg_.mode == ManagementMode::Dynamic && !cfg_.exclusiveCache) {
-        // Inclusive: slow rows stay home; a valid copy redirects the
-        // access to its fast slot.
-        InclusiveDirectory::Copy c = incl_->find(logical);
-        if (!c.valid)
-            return logical;
-        return layout_->globalGroupOf(logical) * layout_->groupSize() +
-               c.fastSlot;
-    }
     return table_->physicalOf(logical);
 }
 
@@ -291,26 +282,10 @@ DasManager::onDataComplete(MemRequest &req, Cycle at)
         unsigned phys_slot = layout_->slotOf(req.loc.row);
         std::uint64_t group = layout_->globalGroupOf(req.logicalRow);
         tc_->insert(req.logicalRow);
-        if (cfg_.exclusiveCache) {
-            if (layout_->slotIsFast(phys_slot)) {
-                repl_->onFastAccess(group, phys_slot);
-            } else if (filter_->onSlowAccess(req.logicalRow)) {
-                maybePromote(req.logicalRow, at);
-            }
-        } else {
-            unsigned home_slot = static_cast<unsigned>(
-                req.logicalRow % layout_->groupSize());
-            if (layout_->slotIsFast(home_slot)) {
-                // Natively fast row: nothing to manage.
-            } else if (InclusiveDirectory::Copy c =
-                           incl_->find(req.logicalRow);
-                       c.valid) {
-                repl_->onFastAccess(group, c.fastSlot);
-                if (req.isWrite)
-                    incl_->markDirty(req.logicalRow);
-            } else if (filter_->onSlowAccess(req.logicalRow)) {
-                maybePromoteInclusive(req.logicalRow, at);
-            }
+        if (layout_->slotIsFast(phys_slot)) {
+            repl_->onFastAccess(group, phys_slot);
+        } else if (filter_->onSlowAccess(req.logicalRow)) {
+            maybePromote(req.logicalRow, at);
         }
     }
 
@@ -369,61 +344,7 @@ DasManager::maybePromote(GlobalRowId logical, Cycle now)
     // of the bank keeps serving requests.
     std::uint64_t row_lo =
         layout_->groupBaseRow(layout_->groupOf(a.row));
-    dram_->startMigration(a.channel, a.rank, a.bank, a.row, b.row,
-                          /*full_swap=*/true, row_lo,
-                          row_lo + layout_->groupSize(), group);
-}
-
-void
-DasManager::maybePromoteInclusive(GlobalRowId logical, Cycle now)
-{
-    std::uint64_t group = layout_->globalGroupOf(logical);
-    if (swapsInFlight_.count(group)) {
-        promotionsSkippedBusy_.inc();
-        return;
-    }
-    if (incl_->find(logical).valid)
-        return; // raced with an earlier promotion
-
-    unsigned victim_slot = repl_->chooseVictim(group);
-    GlobalRowId victim = incl_->occupant(group, victim_slot);
-    bool dirty_victim = incl_->dirty(group, victim_slot);
-    GlobalRowId phys_home = logical;
-    GlobalRowId phys_fast =
-        group * layout_->groupSize() + victim_slot;
-
-    if (victim != kAddrInvalid) {
-        tc_->invalidate(victim);
-        incl_->evict(group, victim_slot);
-    }
-    incl_->install(logical, victim_slot);
-    tc_->insert(logical);
-    filter_->clear(logical);
-    repl_->onFastAccess(group, victim_slot);
-    promotions_.inc();
-    (dirty_victim ? dirtyPromotions_ : cleanPromotions_).inc();
-    if (events_) {
-        TraceInstant ev;
-        ev.name = "promote";
-        ev.tick = now;
-        ev.row = logical;
-        ev.victim = victim;
-        ev.group = group;
-        ev.cause = dirty_victim ? "inclusive-dirty" : "inclusive-clean";
-        events_->onInstant(ev);
-    }
-
-    if (cfg_.zeroMigrationLatency)
-        return;
-
-    swapsInFlight_.insert(group);
-    DramLoc a = decodeGlobalRowId(dram_->geometry(), phys_home);
-    DramLoc b = decodeGlobalRowId(dram_->geometry(), phys_fast);
-    std::uint64_t row_lo = layout_->groupBaseRow(layout_->groupOf(a.row));
-    // Clean victim: a single 1.5 tRC migration copies the promotee in.
-    // Dirty victim: write the victim back first — cost of a full swap.
-    dram_->startMigration(a.channel, a.rank, a.bank, a.row, b.row,
-                          /*full_swap=*/dirty_victim, row_lo,
+    dram_->startMigration(a.channel, a.rank, a.bank, a.row, b.row, row_lo,
                           row_lo + layout_->groupSize(), group);
 }
 
@@ -447,13 +368,6 @@ DasManager::serdeState(Archive &ar)
 {
     ar.section("dasManager");
     table_->serdeState(ar);
-    bool has_incl = incl_ != nullptr;
-    ar.io(has_incl);
-    if (has_incl != (incl_ != nullptr))
-        fatal("checkpoint: inclusive-directory presence mismatch "
-              "(mode/exclusivity changed?)");
-    if (incl_)
-        incl_->serdeState(ar);
     bool dynamic = tc_ != nullptr;
     ar.io(dynamic);
     if (dynamic != (tc_ != nullptr))

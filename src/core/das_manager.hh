@@ -20,7 +20,6 @@
 
 #include "cache/hierarchy.hh"
 #include "common/stats.hh"
-#include "core/inclusive_directory.hh"
 #include "core/promotion_policy.hh"
 #include "core/replacement_policy.hh"
 #include "core/subarray_layout.hh"
@@ -50,17 +49,6 @@ struct DasConfig
     FastReplPolicy replacement = FastReplPolicy::Lru;
     /** DAS-DRAM (FM): apply swaps with zero latency. */
     bool zeroMigrationLatency = false;
-
-    /**
-     * Exclusive (paper's choice, Section 5) vs. inclusive fast-level
-     * management. Inclusive keeps the slow originals and caches
-     * *copies* in the fast slots: a clean-victim promotion needs one
-     * migration (1.5 tRC) instead of a swap (3 tRC), but dirty victims
-     * must be written back first, and 1/8 of capacity is duplicated
-     * (capacity loss is not observable in this timing model; the
-     * latency trade-off is).
-     */
-    bool exclusiveCache = true;
     /** Base address of the in-memory translation table region. */
     Addr tableBase = 7ULL * GiB + 512 * MiB;
     /** LLC hit latency charged to table walks that hit the LLC. */
@@ -145,8 +133,6 @@ class DasManager : private CompletionSink
     TranslationTable &table() { return *table_; }
     const TranslationTable &table() const { return *table_; }
     TranslationCache *translationCache() { return tc_.get(); }
-    /** Non-null only in inclusive dynamic mode. */
-    InclusiveDirectory *inclusiveDirectory() { return incl_.get(); }
     const AsymmetricLayout &layout() const { return *layout_; }
     const DasConfig &config() const { return cfg_; }
 
@@ -179,8 +165,8 @@ class DasManager : private CompletionSink
 
     /**
      * Checkpoint the manager: translation table/cache, promotion
-     * filter, replacement state, inclusive directory, retry queue,
-     * in-flight walks, swap groups and the touched-row footprint.
+     * filter, replacement state, retry queue, in-flight walks, swap
+     * groups and the touched-row footprint.
      * Unordered containers are serialised in sorted order so the
      * byte stream is deterministic. Stats ride the owner's StatGroup
      * serdeTree pass.
@@ -237,7 +223,6 @@ class DasManager : private CompletionSink
      *  of every access coalesced on the table line. */
     void onWalkComplete(MemRequest &treq, Cycle at);
     void maybePromote(GlobalRowId logical, Cycle now);
-    void maybePromoteInclusive(GlobalRowId logical, Cycle now);
     GlobalRowId physicalFor(GlobalRowId logical) const;
 
     /** Add @p row to the footprint. @pre row < totalRows(). */
@@ -256,7 +241,6 @@ class DasManager : private CompletionSink
     DasConfig cfg_;
 
     std::unique_ptr<TranslationTable> table_;
-    std::unique_ptr<InclusiveDirectory> incl_; ///< inclusive mode only
     std::unique_ptr<TranslationCache> tc_;
     std::unique_ptr<PromotionFilter> filter_;
     std::unique_ptr<FastSlotReplacement> repl_;
@@ -278,7 +262,8 @@ class DasManager : private CompletionSink
     Counter demandAccesses_, rowBufferHits_, fastAccesses_, slowAccesses_;
     Counter promotions_, promotionsSkippedBusy_, tableWalksLlc_;
     Counter tableWalksDram_, writebacks_;
-    Counter cleanPromotions_, dirtyPromotions_; ///< inclusive mode
+    /** Always zero; kept registered so the stat tree keeps its shape. */
+    Counter cleanPromotions_, dirtyPromotions_;
 };
 
 } // namespace dasdram

@@ -9,8 +9,14 @@ PromotionFilter::PromotionFilter(const PromotionConfig &cfg)
     : cfg_(cfg), statGroup_("promotionFilter")
 {
     if (cfg.threshold == 0)
-        fatal("promotion threshold must be at least 1");
-    slots_.resize(cfg.counters ? cfg.counters : 1);
+        fatal("promotion threshold (das.promotionThreshold) must be at "
+              "least 1");
+    if (cfg.counters == 0)
+        fatal("promotion counters (das.promotionCounters) must be at "
+              "least 1");
+    // Threshold 1 promotes on every slow access and never counts.
+    if (cfg.threshold > 1)
+        slots_.resize(cfg.counters);
     statGroup_.addCounter("filtered", &filtered_,
                           "slow accesses not (yet) promoted");
     statGroup_.addCounter("allowed", &allowed_, "promotions allowed");
@@ -44,6 +50,8 @@ PromotionFilter::onSlowAccess(GlobalRowId row)
 void
 PromotionFilter::clear(GlobalRowId row)
 {
+    if (slots_.empty())
+        return;
     Slot &s = slots_[row % slots_.size()];
     if (s.valid && s.row == row)
         s.valid = false;

@@ -25,7 +25,8 @@ struct PromotionConfig
 {
     /** Hits in the slow level required before promotion. 1 = always. */
     unsigned threshold = 1;
-    /** Number of hardware counters tracking recently used rows. */
+    /** Hardware counters tracking recently used rows; allocated only
+     *  when threshold > 1. Must be at least 1. */
     unsigned counters = 1024;
 };
 
@@ -56,7 +57,7 @@ class PromotionFilter
 
     StatGroup &stats() { return statGroup_; }
 
-    /** Checkpoint the counter pool. */
+    /** Checkpoint the counter pool (empty at threshold 1). */
     void
     serdeState(Archive &ar)
     {

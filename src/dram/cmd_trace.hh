@@ -29,7 +29,7 @@ namespace dasdram
  *    closed), rowClass its subarray class; RD/WR also carry column.
  *  - REF: rank-wide; row is kAddrInvalid, duration is tRFC.
  *  - MIGRATE: row/rowB are the two rows moved, [rowLo, rowHi) the row
- *    range the job blocks, duration the busy time (migration or swap),
+ *    range the job blocks, duration the busy time (always swapCycles),
  *    migrationId a nonzero per-channel job id.
  *
  * All times are memory-bus cycles (tCK = 1.25 ns).

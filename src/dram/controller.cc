@@ -397,8 +397,7 @@ ChannelController::serviceMigrations(Cycle now)
             continue;
         }
 
-        Cycle dur =
-            job.fullSwap ? timing_->swapCycles : timing_->migrationCycles;
+        const Cycle dur = timing_->swapCycles;
         if (cfg_.histograms)
             migrationStartDelay_.sample(now - job.enqueuedAt);
         bank.reserve(now, dur, row_lo, row_hi, job.rowA, job.rowB);

@@ -70,7 +70,7 @@ struct ControllerConfig
     RequestTraceSink *spanSink = nullptr;
 };
 
-/** An internal row migration or swap to run in one bank. */
+/** An internal row swap (a DAS promotion) to run in one bank. */
 struct MigrationJob
 {
     /** group value for jobs with no owner-side identity. */
@@ -80,7 +80,6 @@ struct MigrationJob
     unsigned bank = 0;
     std::uint64_t rowA = 0; ///< e.g. promotee (slow) row
     std::uint64_t rowB = 0; ///< e.g. victim (fast) row
-    bool fullSwap = true;   ///< swap (3 tRC) vs single migration (1.5 tRC)
     /** Row range blocked while the swap runs (the two subarrays /
      *  migration group). Defaults to just the two rows. */
     std::uint64_t rowLo = 0;
@@ -103,7 +102,6 @@ struct MigrationJob
         ar.io(bank);
         ar.io(rowA);
         ar.io(rowB);
-        ar.io(fullSwap);
         ar.io(rowLo);
         ar.io(rowHi);
         ar.io(enqueuedAt);

@@ -76,15 +76,14 @@ DramSystem::submit(std::unique_ptr<MemRequest> req, Cycle now_tick)
 void
 DramSystem::startMigration(unsigned channel, unsigned rank, unsigned bank,
                            std::uint64_t row_a, std::uint64_t row_b,
-                           bool full_swap, std::uint64_t row_lo,
-                           std::uint64_t row_hi, std::uint64_t group)
+                           std::uint64_t row_lo, std::uint64_t row_hi,
+                           std::uint64_t group)
 {
     MigrationJob job;
     job.rank = rank;
     job.bank = bank;
     job.rowA = row_a;
     job.rowB = row_b;
-    job.fullSwap = full_swap;
     job.rowLo = row_lo;
     job.rowHi = row_hi;
     job.group = group;

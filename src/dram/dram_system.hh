@@ -65,8 +65,8 @@ class DramSystem : private CompletionSink
     /// @}
 
     /**
-     * Queue a row swap (promotion) or single migration in the bank that
-     * owns the two rows. Rows [row_lo, row_hi) — the affected
+     * Queue a row swap (promotion), lasting swapCycles, in the bank
+     * that owns the two rows. Rows [row_lo, row_hi) — the affected
      * subarrays / migration group — are blocked while it runs; pass
      * row_lo == row_hi to block just the two rows. The completion sink
      * receives the job with the finish tick. @p group is the caller's
@@ -75,8 +75,7 @@ class DramSystem : private CompletionSink
      */
     void startMigration(unsigned channel, unsigned rank, unsigned bank,
                         std::uint64_t row_a, std::uint64_t row_b,
-                        bool full_swap, std::uint64_t row_lo,
-                        std::uint64_t row_hi,
+                        std::uint64_t row_lo, std::uint64_t row_hi,
                         std::uint64_t group = MigrationJob::kNoGroup);
 
     /**

@@ -267,7 +267,7 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
             ++rep.submitted;
         }
 
-        // Inject migration/swap jobs against the same row region.
+        // Inject swap jobs against the same row region.
         if (c.migrationChance > 0.0 && pending_migrations() < 16 &&
             rng.chance(c.migrationChance)) {
             unsigned ch = static_cast<unsigned>(
@@ -282,10 +282,9 @@ runProtocolFuzz(const FuzzCase &c, const DramTiming &dut,
             std::uint64_t row_a =
                 base + fast_slots +
                 rng.nextBelow(group_size - fast_slots);
-            bool full_swap = rng.chance(0.7);
             ++rep.migrationsStarted;
-            dram->startMigration(ch, ra, ba, row_a, row_b, full_swap,
-                                base, base + group_size);
+            dram->startMigration(ch, ra, ba, row_a, row_b, base,
+                                base + group_size);
         }
 
         now_tick += kMemTick;

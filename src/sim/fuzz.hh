@@ -50,7 +50,7 @@ struct FuzzCase
      * migrations.
      */
     std::string workload;
-    /** Per-memory-cycle chance to enqueue a migration/swap job. */
+    /** Per-memory-cycle chance to enqueue a swap job. */
     double migrationChance = 0.0;
     /** Rows per bank the traffic concentrates on (plus a slice at the
      *  top of the bank to hit address-space edges). */

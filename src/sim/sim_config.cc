@@ -206,7 +206,6 @@ configToJson(const SimConfig &cfg)
     w.field("promotionThreshold", cfg.das.promotion.threshold);
     w.field("promotionCounters", cfg.das.promotion.counters);
     w.field("replacement", toString(cfg.das.replacement));
-    w.field("exclusiveCache", cfg.das.exclusiveCache);
     w.endObject();
 
     w.key("observability").beginObject();
@@ -302,7 +301,6 @@ configFromJson(const std::string &text, SimConfig base)
         s.str("replacement", token);
         if (!token.empty())
             cfg.das.replacement = parseFastReplPolicy(token);
-        s.boolean("exclusiveCache", cfg.das.exclusiveCache);
         s.finish();
     }
     if (const JsonValue *v = r.section("observability")) {

@@ -210,7 +210,7 @@ class System
 
     /** Checkpoint envelope identity (shared with tests and tools). */
     static constexpr std::uint32_t kSnapshotMagic = 0x504b4344u; // "DCKP"
-    static constexpr std::uint16_t kSnapshotVersion = 7;
+    static constexpr std::uint16_t kSnapshotVersion = 8;
     /// @}
 
   private:

@@ -71,6 +71,37 @@ TEST(PromotionFilter, ClearDropsProgress)
     EXPECT_TRUE(f.onSlowAccess(3));
 }
 
+TEST(PromotionFilter, ThresholdOneKeepsNoCounterPool)
+{
+    // Threshold 1 never counts, so it allocates and saves no pool;
+    // clear() is a no-op.
+    auto saved = [](PromotionFilter &f) {
+        Archive ar;
+        f.serdeState(ar);
+        return ar.payload().size();
+    };
+    PromotionFilter one({1, 1024});
+    one.clear(7);
+    EXPECT_TRUE(one.onSlowAccess(7));
+    PromotionFilter two({2, 1024});
+    EXPECT_LT(saved(one) * 100, saved(two));
+
+    Archive out;
+    one.serdeState(out);
+    PromotionFilter back({1, 1024});
+    Archive in(out.payload());
+    back.serdeState(in);
+    in.finish();
+    EXPECT_TRUE(back.onSlowAccess(7));
+}
+
+TEST(PromotionFilterDeathTest, ZeroThresholdOrCountersIsFatal)
+{
+    EXPECT_DEATH(PromotionFilter({0, 1024}), "das.promotionThreshold");
+    EXPECT_DEATH(PromotionFilter({2, 0}), "das.promotionCounters");
+    EXPECT_DEATH(PromotionFilter({1, 0}), "das.promotionCounters");
+}
+
 TEST(Replacement, ParseAndName)
 {
     EXPECT_EQ(parseFastReplPolicy("lru"), FastReplPolicy::Lru);

@@ -124,7 +124,7 @@ TEST(DramSystem, EnergyBreakdownCountsOperations)
 TEST(DramSystem, MigrationApiCompletesInTicks)
 {
     SystemHarness h;
-    h.dram.startMigration(0, 0, 0, 3, 9, true, 0, 32);
+    h.dram.startMigration(0, 0, 0, 3, 9, 0, 32);
     for (Cycle t = 0; t < 100000 && h.done.migrations.empty();
          t += kMemTick)
         h.dram.tick(t);

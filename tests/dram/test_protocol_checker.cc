@@ -267,10 +267,15 @@ TEST_F(ProtocolCheckerTest, MigratedRowsMustBeInsideBlockedRange)
 
 TEST_F(ProtocolCheckerTest, MigrationDurationChecked)
 {
-    feed({migrate(0, 0, 40, 33, 32, 64, timing.swapCycles - 10)});
-    EXPECT_EQ(checker.violationCount(), 1u);
-    EXPECT_NE(checker.firstViolation().find("busy time"),
-              std::string::npos);
+    // Every MIGRATE is a swap: a single-row migration's busy time
+    // (1.5 tRC) is a violation too.
+    feed({migrate(0, 0, 40, 33, 32, 64, timing.swapCycles - 10, 1),
+          migrate(1, 1, 40, 33, 32, 64, timing.migrationCycles, 2),
+          migrate(2, 2, 40, 33, 32, 64, timing.swapCycles, 3)});
+    EXPECT_EQ(checker.violationCount(), 2u);
+    ASSERT_EQ(checker.messages().size(), 2u);
+    for (const std::string &msg : checker.messages())
+        EXPECT_NE(msg.find("busy time"), std::string::npos) << msg;
 }
 
 TEST_F(ProtocolCheckerTest, RowClassCoherenceAgainstClassifier)

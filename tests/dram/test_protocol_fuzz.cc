@@ -109,7 +109,6 @@ TEST(ProtocolFuzz, InjectedSwapLatencyBugDetected)
     FuzzCase c = gridCase("das/base");
     DramTiming dut = referenceTiming(c);
     dut.swapCycles -= 10;
-    dut.migrationCycles -= 10;
     FuzzReport rep = runProtocolFuzz(c, dut, referenceTiming(c));
     EXPECT_GT(rep.violations, 0u)
         << "shortened migration window went undetected (seed="

@@ -344,7 +344,6 @@ TEST(IssueCycle, MigrationReservationBlocksAllButExemptRows)
     job.bank = 0;
     job.rowA = 40;
     job.rowB = 2;
-    job.fullSwap = true;
     job.rowLo = 0;
     job.rowHi = 64;
     h.ctrl->addMigration(std::move(job));

@@ -80,8 +80,7 @@ TEST_P(DramStress, AllRequestsCompleteWithoutProtocolViolations)
                 static_cast<unsigned>(
                     rng.nextBelow(geom.ranksPerChannel)),
                 static_cast<unsigned>(rng.nextBelow(p.bankSpread)),
-                lo + rng.nextBelow(32), lo + rng.nextBelow(4), true, lo,
-                lo + 32);
+                lo + rng.nextBelow(32), lo + rng.nextBelow(4), lo, lo + 32);
         }
         now += kMemTick * (1 + rng.nextBelow(3));
         dram.tick(now);

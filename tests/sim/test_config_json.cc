@@ -88,6 +88,9 @@ TEST(ConfigJson, UnknownKeysAreFatal)
     EXPECT_DEATH(configFromJson(R"({"caches": {"l9SizeBytes": 1}})"),
                  "l9SizeBytes");
     EXPECT_DEATH(configFromJson(R"({"engine": "event"})"), "engine");
+    // Removed with inclusive fast-level management.
+    EXPECT_DEATH(configFromJson(R"({"das": {"exclusiveCache": true}})"),
+                 "exclusiveCache");
 }
 
 TEST(ConfigJson, MalformedJsonIsFatal)
@@ -113,11 +116,11 @@ TEST(ConfigJson, SetAssignmentTakesNonJsonValuesAsStrings)
     applyConfigAssignment(cfg, "das.replacement=random");
     applyConfigAssignment(cfg, "workload=lbm");
     applyConfigAssignment(cfg, "warmupFraction=0.5");
-    applyConfigAssignment(cfg, "das.exclusiveCache=false");
+    applyConfigAssignment(cfg, "controller.refreshEnabled=false");
     EXPECT_EQ(cfg.das.replacement, parseFastReplPolicy("random"));
     EXPECT_EQ(cfg.workload, "lbm");
     EXPECT_EQ(cfg.warmupFraction, 0.5);
-    EXPECT_FALSE(cfg.das.exclusiveCache);
+    EXPECT_FALSE(cfg.ctrl.refreshEnabled);
 }
 
 TEST(ConfigJson, SetAssignmentUnknownKeyIsFatal)
@@ -126,6 +129,8 @@ TEST(ConfigJson, SetAssignmentUnknownKeyIsFatal)
     EXPECT_DEATH(applyConfigAssignment(cfg, "das.thresold=4"), "thresold");
     EXPECT_DEATH(applyConfigAssignment(cfg, "das.promotionThreshold=x"),
                  "promotionThreshold");
+    EXPECT_DEATH(applyConfigAssignment(cfg, "das.exclusiveCache=true"),
+                 "exclusiveCache");
 }
 
 TEST(ConfigJson, MalformedSetAssignmentIsFatal)

@@ -288,17 +288,20 @@ TEST(SnapshotDeathTest, FutureVersionIsFatal)
 
 TEST(SnapshotDeathTest, OlderVersionIsFatal)
 {
+    // Version 7 still saved the inclusive-directory presence byte,
+    // each migration job's swap flag and a dense promotion-counter
+    // pool at threshold 1.
     std::string path = tmpPath("snap_older.ckpt");
     std::string err = binfmt::writeEnvelopeFile(
-        path, System::kSnapshotMagic,
-        static_cast<std::uint16_t>(System::kSnapshotVersion - 1),
+        path, System::kSnapshotMagic, std::uint16_t{7},
         std::vector<unsigned char>{1, 2, 3});
     ASSERT_TRUE(err.empty()) << err;
 
     SimConfig cfg = snapConfig();
     SyntheticTrace trace(snapProfile(), 1);
     System sys(cfg, {&trace});
-    EXPECT_DEATH(sys.loadSnapshot(path), "older build; re-create it");
+    EXPECT_DEATH(sys.loadSnapshot(path),
+                 "version 7 comes from an older build; re-create it");
 }
 
 TEST(SnapshotDeathTest, ConfigFingerprintMismatchIsFatal)
