@@ -46,10 +46,6 @@ struct BenchOptions
 {
     unsigned jobs = 0;    ///< 0 = auto (DAS_JOBS env, else hardware)
     std::string jsonPath; ///< when non-empty, export results as JSONL
-    /** Online DRAM protocol checker (a violation aborts the sweep).
-     *  On by default so every figure run doubles as a protocol test;
-     *  --no-check turns it off to shave a few percent of runtime. */
-    bool protocolCheck = true;
     /** When non-empty, every sweep point writes its stats-JSONL dump
      *  (histograms, percentiles, epoch series) into this existing
      *  directory — one point<idx>_... file per point; compare them
@@ -58,9 +54,6 @@ struct BenchOptions
     /** Epoch length of the stats time-series in memory cycles
      *  (0 = no series); only meaningful with --stats-dir. */
     Cycle epochMemCycles = 0;
-    /** Sample latency/occupancy histograms (--no-histograms turns the
-     *  sample path off, e.g. for overhead measurements). */
-    bool histograms = true;
     /** When non-empty, fork every sweep point from the shared warmed
      *  checkpoint of its config fingerprint in this directory
      *  (created on demand): the first run of a fingerprint publishes
@@ -69,10 +62,9 @@ struct BenchOptions
     std::string warmDir;
 };
 
-/** Parse the shared bench options (--jobs/-j, --json, --check/
- *  --no-check, --stats-dir, --epoch, --histograms/--no-histograms,
- *  --warm-dir);
- *  fatal on unknown arguments, prints generated usage on --help. */
+/** Parse the shared bench options (--jobs/-j, --json, --stats-dir,
+ *  --epoch, --warm-dir); fatal on unknown arguments, prints generated
+ *  usage on --help. */
 inline BenchOptions
 parseBenchArgs(int argc, char **argv)
 {
@@ -82,15 +74,11 @@ parseBenchArgs(int argc, char **argv)
                    "worker threads (default: DAS_JOBS env, else "
                    "hardware)", "-j")
         .option("--json", "FILE", "export all sweep points as JSON lines")
-        .toggle("--check",
-                "online DRAM protocol checker (default on)")
         .option("--stats-dir", "DIR",
                 "per-point stats-JSONL dumps (histograms, percentiles) "
                 "into DIR")
         .optionUInt("--epoch", "N",
                     "stats time-series epoch in memory cycles (0 = off)")
-        .toggle("--histograms",
-                "latency/occupancy histogram sampling (default on)")
         .option("--warm-dir", "DIR",
                 "fork every point from the shared warmed checkpoint in "
                 "DIR; re-running against the same DIR skips warm-up");
@@ -108,10 +96,8 @@ parseBenchArgs(int argc, char **argv)
         if (!probe)
             fatal("cannot open '{}' for writing", opts.jsonPath);
     }
-    opts.protocolCheck = cli.enabled("--check", opts.protocolCheck);
     opts.statsDir = cli.str("--stats-dir");
     opts.epochMemCycles = cli.uns("--epoch", 0);
-    opts.histograms = cli.enabled("--histograms", opts.histograms);
     opts.warmDir = cli.str("--warm-dir");
     return opts;
 }
@@ -129,10 +115,8 @@ inline SimConfig
 defaultConfig(const BenchOptions &opts)
 {
     SimConfig cfg = defaultConfig();
-    cfg.protocolCheck = opts.protocolCheck;
     cfg.obs.statsDir = opts.statsDir;
     cfg.obs.epochMemCycles = opts.epochMemCycles;
-    cfg.obs.histograms = opts.histograms;
     return cfg;
 }
 

@@ -79,17 +79,8 @@ DasManager::footprintRows() const
 }
 
 void
-DasManager::resetStats()
+DasManager::resetFootprint()
 {
-    demandAccesses_.reset();
-    rowBufferHits_.reset();
-    fastAccesses_.reset();
-    slowAccesses_.reset();
-    promotions_.reset();
-    promotionsSkippedBusy_.reset();
-    tableWalksLlc_.reset();
-    tableWalksDram_.reset();
-    writebacks_.reset();
     std::fill(touchedRows_.begin(), touchedRows_.end(), 0);
     touchedCount_ = 0;
 }

@@ -142,8 +142,10 @@ class DasManager : private CompletionSink
     std::uint64_t footprintRows() const;
 
     StatGroup &stats() { return statGroup_; }
-    /** Clear statistic counters (not mappings) after warm-up. */
-    void resetStats();
+    /** Forget the rows touched so far (not mappings): the measured
+     *  window's footprint restarts after warm-up. The counters reset
+     *  with the owner's stat tree. */
+    void resetFootprint();
 
     /**
      * Attach (or detach with nullptr) a point-event observer for

@@ -5,8 +5,8 @@
 namespace dasdram
 {
 
-PromotionFilter::PromotionFilter(const PromotionConfig &cfg)
-    : cfg_(cfg), statGroup_("promotionFilter")
+void
+checkPromotionConfig(const PromotionConfig &cfg)
 {
     if (cfg.threshold == 0)
         fatal("promotion threshold (das.promotionThreshold) must be at "
@@ -14,6 +14,12 @@ PromotionFilter::PromotionFilter(const PromotionConfig &cfg)
     if (cfg.counters == 0)
         fatal("promotion counters (das.promotionCounters) must be at "
               "least 1");
+}
+
+PromotionFilter::PromotionFilter(const PromotionConfig &cfg)
+    : cfg_(cfg), statGroup_("promotionFilter")
+{
+    checkPromotionConfig(cfg);
     // Threshold 1 promotes on every slow access and never counts.
     if (cfg.threshold > 1)
         slots_.resize(cfg.counters);

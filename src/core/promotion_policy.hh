@@ -30,6 +30,10 @@ struct PromotionConfig
     unsigned counters = 1024;
 };
 
+/** Fatal unless @p cfg has a threshold and a counter pool of at least
+ *  one. Every design checks it, whether or not it promotes. */
+void checkPromotionConfig(const PromotionConfig &cfg);
+
 /**
  * The promotion filter. Direct-mapped counter table over logical rows:
  * a row evicting another's counter restarts from one, approximating the

@@ -137,14 +137,4 @@ Core::serdeState(Archive &ar)
     ar.end();
 }
 
-void
-Core::resetStats()
-{
-    retired_.reset();
-    cycles_.reset();
-    loads_.reset();
-    stores_.reset();
-    robStallCycles_.reset();
-}
-
 } // namespace dasdram

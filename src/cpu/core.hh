@@ -90,9 +90,6 @@ class Core
 
     int id() const { return id_; }
 
-    /** Zero statistics (end of warm-up) without touching window state. */
-    void resetStats();
-
     /**
      * Checkpoint the window, dispatch cursor and pending trace record
      * (stats ride the owner's StatGroup tree; the trace source is

@@ -5,8 +5,7 @@
  * emits records to, a fan-out helper, and a plain-text trace writer.
  *
  * The hook is zero-cost when unused: ChannelController only builds a
- * CmdRecord when a sink is attached (ControllerConfig::cmdSink or
- * ChannelController::setCommandSink).
+ * CmdRecord when a sink is attached (ChannelController::setCommandSink).
  */
 
 #ifndef DASDRAM_DRAM_CMD_TRACE_HH

@@ -15,8 +15,7 @@ ChannelController::ChannelController(unsigned channel_id,
                                      const RowClassifier &classifier,
                                      const ControllerConfig &cfg)
     : channelId_(channel_id), geom_(geom), timing_(&timing),
-      classifier_(&classifier), cfg_(cfg), sink_(cfg.cmdSink),
-      spanSink_(cfg.spanSink),
+      classifier_(&classifier), cfg_(cfg),
       statGroup_("channel" + std::to_string(channel_id))
 {
     ranks_.reserve(geom.ranksPerChannel);
@@ -140,12 +139,10 @@ ChannelController::enqueue(std::unique_ptr<MemRequest> req, Cycle now)
         writeQueue_.push_back(std::move(req));
     else
         readQueue_.push_back(std::move(req));
-    if (cfg_.histograms) {
-        if (is_write)
-            writeQueueOcc_.sample(writeQueue_.size());
-        else
-            readQueueOcc_.sample(readQueue_.size());
-    }
+    if (is_write)
+        writeQueueOcc_.sample(writeQueue_.size());
+    else
+        readQueueOcc_.sample(readQueue_.size());
 }
 
 void
@@ -258,26 +255,24 @@ ChannelController::finish(std::unique_ptr<MemRequest> req, Cycle at,
     req->completionTick = at;
     if (!req->isWrite)
         readLatency_.sample(static_cast<double>(at - req->arrivalTick));
-    if (cfg_.histograms) {
-        const Cycle lat = at - req->arrivalTick;
-        if (req->isWrite) {
-            writeLat_.sample(lat);
-        } else {
-            switch (req->location) {
-              case ServiceLocation::FastLevel:
-                readLatFast_.sample(lat);
-                break;
-              case ServiceLocation::SlowLevel:
-                readLatSlow_.sample(lat);
-                break;
-              case ServiceLocation::Unknown:
-              case ServiceLocation::RowBuffer:
-                readLatRowHit_.sample(lat);
-                break;
-            }
-            bankStatsOf(req->loc.rank, req->loc.bank)
-                .readLatency.sample(static_cast<double>(lat));
+    const Cycle lat = at - req->arrivalTick;
+    if (req->isWrite) {
+        writeLat_.sample(lat);
+    } else {
+        switch (req->location) {
+          case ServiceLocation::FastLevel:
+            readLatFast_.sample(lat);
+            break;
+          case ServiceLocation::SlowLevel:
+            readLatSlow_.sample(lat);
+            break;
+          case ServiceLocation::Unknown:
+          case ServiceLocation::RowBuffer:
+            readLatRowHit_.sample(lat);
+            break;
         }
+        bankStatsOf(req->loc.rank, req->loc.bank)
+            .readLatency.sample(static_cast<double>(lat));
     }
     if (req->span) {
         RequestSpan &s = *req->span;
@@ -398,8 +393,7 @@ ChannelController::serviceMigrations(Cycle now)
         }
 
         const Cycle dur = timing_->swapCycles;
-        if (cfg_.histograms)
-            migrationStartDelay_.sample(now - job.enqueuedAt);
+        migrationStartDelay_.sample(now - job.enqueuedAt);
         bank.reserve(now, dur, row_lo, row_hi, job.rowA, job.rowB);
         if (sink_) {
             CmdRecord rec;
@@ -478,16 +472,13 @@ ChannelController::tryColumn(MemRequest &req, Cycle now)
     if (req.location == ServiceLocation::Unknown) {
         req.location = ServiceLocation::RowBuffer;
         rowHits_.inc();
-        if (cfg_.histograms)
-            bankStatsOf(req.loc.rank, req.loc.bank).rowHits.inc();
+        bankStatsOf(req.loc.rank, req.loc.bank).rowHits.inc();
     }
-    if (cfg_.histograms) {
-        const Cycle wait = now - req.arrivalTick;
-        if (req.isWrite)
-            writeQueueDelay_.sample(wait);
-        else
-            readQueueDelay_.sample(wait);
-    }
+    const Cycle wait = now - req.arrivalTick;
+    if (req.isWrite)
+        writeQueueDelay_.sample(wait);
+    else
+        readQueueDelay_.sample(wait);
     if (req.isWrite) {
         Cycle end = bank.write(now);
         rank.recordWriteBurst(end);
@@ -553,14 +544,12 @@ ChannelController::tryRowCommand(MemRequest &req, Cycle now)
         };
         if (hits_open_row(readQueue_) || hits_open_row(writeQueue_))
             return false;
-        if (cfg_.histograms) {
-            BankStats &bs = bankStatsOf(req.loc.rank, req.loc.bank);
-            bs.rowConflicts.inc();
-            RowClass want = classifier_->classify(
-                channelId_, req.loc.rank, req.loc.bank, req.loc.row);
-            if (want != bank.openRowClass())
-                bs.classConflicts.inc();
-        }
+        BankStats &bs = bankStatsOf(req.loc.rank, req.loc.bank);
+        bs.rowConflicts.inc();
+        RowClass want = classifier_->classify(channelId_, req.loc.rank,
+                                              req.loc.bank, req.loc.row);
+        if (want != bank.openRowClass())
+            bs.classConflicts.inc();
         if (req.span) {
             stampSpanFirstCommand(req, now);
             if (!req.span->hasPre) {

@@ -44,30 +44,6 @@ struct ControllerConfig
      * (then they force their way in to avoid starvation).
      */
     Cycle migrationMaxDefer = 1600; // 2 us at 800 MHz
-
-    /**
-     * Observer for every issued command (protocol checker, trace
-     * writer). Zero cost when null: no record is even built. Must
-     * outlive the controller. Also settable post-construction via
-     * ChannelController::setCommandSink().
-     */
-    CommandSink *cmdSink = nullptr;
-
-    /**
-     * Sample per-class latency/queue-delay histograms and per-bank
-     * breakdown stats. The stats are always registered (dumps stay
-     * shape-stable); this only gates the sampling on the hot path.
-     */
-    bool histograms = true;
-
-    /**
-     * Observer for completed request spans (sampled lifecycle
-     * tracing). Zero cost when no request carries a span: every touch
-     * point is gated on the request's span pointer. Must outlive the
-     * controller. Also settable post-construction via
-     * ChannelController::setSpanSink().
-     */
-    RequestTraceSink *spanSink = nullptr;
 };
 
 /** An internal row swap (a DAS promotion) to run in one bank. */
@@ -347,7 +323,7 @@ class ChannelController
     Distribution readLatency_; ///< enqueue → data, in memory cycles
 
     /** Per-row-class latency and queue histograms (memory cycles /
-     *  queue entries). Sampling gated by ControllerConfig::histograms. */
+     *  queue entries). */
     Histogram readLatRowHit_, readLatFast_, readLatSlow_, writeLat_;
     Histogram readQueueDelay_, writeQueueDelay_;
     Histogram readQueueOcc_, writeQueueOcc_;

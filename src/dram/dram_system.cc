@@ -11,8 +11,7 @@ DramSystem::DramSystem(const DramGeometry &geom, const DramTiming &timing,
                        const RowClassifier &classifier,
                        const ControllerConfig &ctrl_cfg,
                        MappingScheme scheme)
-    : timing_(timing), mapper_(geom, scheme), spanSink_(ctrl_cfg.spanSink),
-      statGroup_("dram")
+    : timing_(timing), mapper_(geom, scheme), statGroup_("dram")
 {
     channels_.reserve(geom.channels);
     for (unsigned c = 0; c < geom.channels; ++c) {

@@ -45,21 +45,11 @@ ddr3_1600Timing(bool charm_column_opt)
     // back out, giving ~1.5 tRC per migration. A promotion swap
     // (Figure 6) overlaps the two directions and totals 3 tRC(slow) =
     // 146.25 ns, which Table 1 lists as the migration latency.
-    t.migrationCycles = divCeil(3 * t.slow.tRC, 2); // 59 cycles ~ 1.5 tRC
-    t.swapCycles = 3 * t.slow.tRC;                  // 117 cyc = 146.25 ns
+    t.swapCycles = 3 * t.slow.tRC; // 117 cyc = 146.25 ns
 
     if (!t.slow.consistent() || !t.fast.consistent())
         panic("inconsistent DDR3 array timing");
     return t;
-}
-
-Cycle
-expectedSwapCycles(const DramTiming &t)
-{
-    // Figure 6: four steps; steps 3 and 4 each run two half-row moves in
-    // parallel, so the critical path is two migrations of 1.5 tRC each,
-    // i.e. 3 tRC of the slow (commodity) subarray.
-    return 3 * t.slow.tRC;
 }
 
 } // namespace dasdram

@@ -52,11 +52,10 @@ struct DramTiming
     Cycle tREFI; ///< average refresh interval
 
     /**
-     * Row migration latency (Section 4.2): one row migration is
-     * 1.5 tRC(slow); a full promotion swap is 146.25 ns (Table 1).
+     * Promotion swap latency: 3 tRC(slow) = 146.25 ns (Table 1). The
+     * step model behind it (Section 4.2) is core/migration.hh.
      */
-    Cycle migrationCycles; ///< one row migration
-    Cycle swapCycles;      ///< full row swap (promotion)
+    Cycle swapCycles;
 
     const ArrayTiming &
     array(RowClass cls) const
@@ -81,9 +80,6 @@ struct DramTiming
  *        (reduced tCL) to the fast class.
  */
 DramTiming ddr3_1600Timing(bool charm_column_opt = false);
-
-/** Self-check helper: recompute swap latency from first principles. */
-Cycle expectedSwapCycles(const DramTiming &t);
 
 } // namespace dasdram
 

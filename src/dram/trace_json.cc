@@ -24,8 +24,7 @@ tickUs(Cycle t)
 ChromeTraceWriter::ChromeTraceWriter(std::ostream &os,
                                      const DramGeometry &geom,
                                      const DramTiming &timing)
-    : os_(&os), geom_(geom), tBL_(timing.tBL),
-      swapCycles_(timing.swapCycles)
+    : os_(&os), geom_(geom), tBL_(timing.tBL)
 {
     openRows_.resize(geom_.channels);
     for (auto &ch : openRows_)
@@ -200,8 +199,7 @@ ChromeTraceWriter::onCommand(const CmdRecord &rec)
       case DramCommand::MIGRATE: {
         JsonWriter w;
         w.beginObject()
-            .field("name",
-                   rec.duration == swapCycles_ ? "swap" : "migrate")
+            .field("name", "swap")
             .field("cat", "migration")
             .field("ph", "X")
             .field("ts", cycleUs(rec.cycle))

@@ -82,7 +82,6 @@ class ChromeTraceWriter : public CommandSink, public TraceEventSink
     std::ostream *os_;
     DramGeometry geom_;
     Cycle tBL_;
-    Cycle swapCycles_;
     bool headerDone_ = false;
     bool finished_ = false;
     std::uint64_t events_ = 0;

@@ -157,7 +157,6 @@ configToJson(const SimConfig &cfg)
     w.field("warmupFraction", cfg.warmupFraction);
     w.field("profileWindowMultiplier", cfg.profileWindowMultiplier);
     w.field("coreStrideBytes", cfg.coreStride);
-    w.field("protocolCheck", cfg.protocolCheck);
     w.field("mshrsPerCore", cfg.mshrsPerCore);
 
     w.key("core").beginObject();
@@ -209,7 +208,6 @@ configToJson(const SimConfig &cfg)
     w.endObject();
 
     w.key("observability").beginObject();
-    w.field("histograms", cfg.obs.histograms);
     w.field("epochMemCycles", cfg.obs.epochMemCycles);
     w.field("statsOut", cfg.obs.statsOut);
     w.field("statsDir", cfg.obs.statsDir);
@@ -243,7 +241,6 @@ configFromJson(const std::string &text, SimConfig base)
     r.num("warmupFraction", cfg.warmupFraction);
     r.num("profileWindowMultiplier", cfg.profileWindowMultiplier);
     r.uns("coreStrideBytes", cfg.coreStride);
-    r.boolean("protocolCheck", cfg.protocolCheck);
     r.uns("mshrsPerCore", cfg.mshrsPerCore);
 
     if (const JsonValue *v = r.section("core")) {
@@ -305,7 +302,6 @@ configFromJson(const std::string &text, SimConfig base)
     }
     if (const JsonValue *v = r.section("observability")) {
         ObjReader s(*v, "config.observability");
-        s.boolean("histograms", cfg.obs.histograms);
         s.uns("epochMemCycles", cfg.obs.epochMemCycles);
         s.str("statsOut", cfg.obs.statsOut);
         s.str("statsDir", cfg.obs.statsDir);

@@ -27,16 +27,14 @@ namespace dasdram
 {
 
 /**
- * Observability knobs: latency/occupancy histograms, the epoch
- * time-series, and the two export files. Everything is per-System
- * (sweep-safe); empty paths and epochMemCycles == 0 disable the
- * corresponding feature at zero cost on the sample path.
+ * Observability knobs: the epoch time-series, request sampling and
+ * the export files. Everything is per-System (sweep-safe); empty
+ * paths and epochMemCycles == 0 disable the corresponding feature at
+ * zero cost on the sample path. Latency histograms and the protocol
+ * checker have no switch: every run samples and checks.
  */
 struct ObservabilityConfig
 {
-    /** Sample latency/queue histograms and per-bank breakdowns. */
-    bool histograms = true;
-
     /** Epoch length of the stats time-series in memory-controller
      *  cycles (1.25 ns each); 0 disables the series. */
     Cycle epochMemCycles = 0;
@@ -120,18 +118,10 @@ struct SimConfig
     /** Deterministic seed for workload generation etc. */
     std::uint64_t seed = 42;
 
-    /**
-     * Run the online DRAM protocol checker on every issued command and
-     * panic at end-of-run on violations. On by default so every sim
-     * test doubles as a protocol test; turn off to shave the (small)
-     * per-command overhead of long sweeps.
-     */
-    bool protocolCheck = true;
-
     /** MSHR entries (outstanding line fills) per core. */
     unsigned mshrsPerCore = 32;
 
-    /** Histograms, epoch series and export files. */
+    /** Epoch series, request sampling and export files. */
     ObservabilityConfig obs{};
 
     Addr
@@ -174,7 +164,7 @@ SimConfig configFromJson(const std::string &text, SimConfig base = {});
  * (workloadName, label) — none affects state, so a checkpoint can be
  * restored under a different output set. Everything else
  * participates, including observability knobs that change the
- * serialised shape (histograms, epochMemCycles, traceRequests).
+ * serialised shape (epochMemCycles, traceRequests).
  * Stamped into checkpoints and enforced at load.
  */
 std::uint64_t configFingerprint(const SimConfig &cfg);

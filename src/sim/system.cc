@@ -10,45 +10,51 @@
 namespace dasdram
 {
 
+namespace
+{
+
+/** The row-class oracle of a homogeneous design; nullptr when the
+ *  asymmetric layout itself classifies (heterogeneous designs). */
+std::unique_ptr<RowClassifier>
+uniformClassifier(const DesignSpec &spec)
+{
+    if (spec.allFast)
+        return std::make_unique<UniformRowClassifier>(RowClass::Fast);
+    if (!spec.heterogeneous)
+        return std::make_unique<UniformRowClassifier>(RowClass::Slow);
+    return nullptr;
+}
+
+} // namespace
+
 System::System(const SimConfig &cfg, std::vector<TraceSource *> traces)
-    : cfg_(cfg), traces_(std::move(traces)), statGroup_("system")
+    : cfg_(cfg), traces_(std::move(traces)),
+      classifier_(uniformClassifier(designSpec(cfg.design))),
+      layout_(std::make_unique<AsymmetricLayout>(cfg.geom, cfg.layout)),
+      timing_(ddr3_1600Timing(designSpec(cfg.design).charmColumnOpt)),
+      // The checker gets the same row-class oracle as the controller,
+      // so the class stamped on every ACT is cross-checked, and an
+      // independent copy of the reference timing.
+      checker_(cfg.geom, timing_, &rowClassifier()),
+      statGroup_("system")
 {
     if (traces_.size() != cfg_.numCores)
         fatal("system needs one trace per core ({} vs {})",
               traces_.size(), cfg_.numCores);
 
     const DesignSpec &spec = designSpec(cfg_.design);
-    timing_ = ddr3_1600Timing(spec.charmColumnOpt);
-    layout_ = std::make_unique<AsymmetricLayout>(cfg_.geom, cfg_.layout);
-
-    if (spec.allFast)
-        classifier_ =
-            std::make_unique<UniformRowClassifier>(RowClass::Fast);
-    else if (!spec.heterogeneous)
-        classifier_ =
-            std::make_unique<UniformRowClassifier>(RowClass::Slow);
-    const RowClassifier &cls =
-        classifier_ ? static_cast<const RowClassifier &>(*classifier_)
-                    : static_cast<const RowClassifier &>(*layout_);
-
-    cfg_.ctrl.histograms = cfg_.obs.histograms;
-    dram_ = std::make_unique<DramSystem>(cfg_.geom, timing_, cls,
-                                         cfg_.ctrl);
-    if (cfg_.protocolCheck) {
-        // The checker gets the same row-class oracle as the controller,
-        // so the class stamped on every ACT is cross-checked, and an
-        // independent copy of the reference timing.
-        checker_ = std::make_unique<ProtocolChecker>(cfg_.geom, timing_,
-                                                     &cls);
-    }
+    dram_ = std::make_unique<DramSystem>(cfg_.geom, timing_,
+                                         rowClassifier(), cfg_.ctrl);
+    cmdFanout_.addSink(&checker_);
     if (!cfg_.obs.traceOut.empty()) {
         traceFile_ = std::make_unique<std::ofstream>(cfg_.obs.traceOut);
         if (!*traceFile_)
             fatal("cannot open '{}' for writing", cfg_.obs.traceOut);
         chromeTrace_ = std::make_unique<ChromeTraceWriter>(
             *traceFile_, cfg_.geom, timing_);
+        cmdFanout_.addSink(chromeTrace_.get());
     }
-    rebuildCommandSinks();
+    dram_->setCommandSink(&cmdFanout_);
     caches_ = std::make_unique<CacheHierarchy>(cfg_.numCores, cfg_.caches,
                                                cfg_.seed);
 
@@ -107,6 +113,7 @@ System::System(const SimConfig &cfg, std::vector<TraceSource *> traces)
     if (!(cfg_.warmupFraction >= 0.0 && cfg_.warmupFraction < 1.0))
         fatal("config: warmupFraction must be in [0, 1), got {}",
               cfg_.warmupFraction);
+    checkPromotionConfig(cfg_.das.promotion);
     if (!(cfg_.obs.traceRequests >= 0.0 && cfg_.obs.traceRequests <= 1.0))
         fatal("config: observability.traceRequests must be a rate in "
               "[0, 1], got {}",
@@ -162,55 +169,20 @@ System::spanMeta() const
     return meta;
 }
 
-void
-System::rebuildCommandSinks()
+const RowClassifier &
+System::rowClassifier() const
 {
-    CommandSink *single = nullptr;
-    unsigned active = 0;
-    for (CommandSink *s :
-         {static_cast<CommandSink *>(checker_.get()),
-          static_cast<CommandSink *>(cmdTrace_.get()),
-          static_cast<CommandSink *>(chromeTrace_.get())}) {
-        if (s) {
-            single = s;
-            ++active;
-        }
-    }
-    if (active <= 1) {
-        dram_->setCommandSink(single);
-        return;
-    }
-    cmdFanout_ = std::make_unique<CommandFanout>();
-    cmdFanout_->addSink(checker_.get());
-    cmdFanout_->addSink(cmdTrace_.get());
-    cmdFanout_->addSink(chromeTrace_.get());
-    dram_->setCommandSink(cmdFanout_.get());
+    return classifier_ ? *classifier_
+                       : static_cast<const RowClassifier &>(*layout_);
 }
 
 void
 System::attachCommandTrace(std::ostream &os)
 {
+    if (cmdTrace_)
+        fatal("attachCommandTrace: a command trace is already attached");
     cmdTrace_ = std::make_unique<CommandTrace>(os);
-    rebuildCommandSinks();
-}
-
-void
-System::attachChromeTrace(std::ostream &os)
-{
-    chromeTrace_ =
-        std::make_unique<ChromeTraceWriter>(os, cfg_.geom, timing_);
-    das_->setEventSink(chromeTrace_.get());
-    rebuildCommandSinks();
-}
-
-void
-System::attachRequestSpanTrace(std::ostream &os)
-{
-    if (!tracer_)
-        fatal("attachRequestSpanTrace requires cfg.obs.traceRequests > 0");
-    attachedSpanWriters_.push_back(
-        std::make_unique<SpanJsonlWriter>(os, spanMeta()));
-    spanFanout_->addSink(attachedSpanWriters_.back().get());
+    cmdFanout_.addSink(cmdTrace_.get());
 }
 
 void
@@ -307,7 +279,7 @@ System::resetAfterWarmup()
 {
     warmupDone_ = true;
     statGroup_.resetAll();
-    das_->resetStats();
+    das_->resetFootprint();
     warmupCycleStamp_ = now_;
     if (epochs_)
         epochs_->restart(now_ / kMemTick);
@@ -411,11 +383,11 @@ System::run()
         writeStatsJsonl(os);
     }
 
-    if (checker_ && checker_->violationCount() > 0) {
+    if (checker_.violationCount() > 0) {
         panic("DRAM protocol checker found {} violation(s) over {} "
               "commands; first: {}",
-              checker_->violationCount(), checker_->commandCount(),
-              checker_->firstViolation());
+              checker_.violationCount(), checker_.commandCount(),
+              checker_.firstViolation());
     }
     return m;
 }
@@ -484,16 +456,11 @@ System::serdeState(Archive &ar)
     mshrs_->serdeState(ar);
     das_->serdeState(ar);
     dram_->serdeState(ar);
+    checker_.serdeState(ar);
 
     // Optional components: presence is config-derived and already
     // pinned by the fingerprint; these gates turn a serde bug into a
     // named error instead of a desync.
-    bool has_checker = checker_ != nullptr;
-    ar.io(has_checker);
-    if (has_checker != (checker_ != nullptr))
-        fatal("checkpoint: protocol-checker presence mismatch");
-    if (checker_)
-        checker_->serdeState(ar);
     bool has_tracer = tracer_ != nullptr;
     ar.io(has_tracer);
     if (has_tracer != (tracer_ != nullptr))

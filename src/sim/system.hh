@@ -113,32 +113,13 @@ class System
     const AsymmetricLayout &layout() const { return *layout_; }
     const SimConfig &config() const { return cfg_; }
 
-    /** The protocol checker (nullptr when cfg.protocolCheck is off). */
-    const ProtocolChecker *protocolChecker() const { return checker_.get(); }
-
     /**
      * Additionally write every issued DRAM command to @p os (one line
-     * per command; see dram/cmd_trace.hh). Call before run(); @p os
-     * must outlive the system.
+     * per command; see dram/cmd_trace.hh), appended to the command
+     * fanout after the checker and the obs.traceOut timeline. Call
+     * once, before run(); @p os must outlive the system.
      */
     void attachCommandTrace(std::ostream &os);
-
-    /**
-     * Stream a Chrome trace_event JSON of the command stream (and
-     * DasManager promotion instants) to @p os; finalised at end of
-     * run(). Call before run(); @p os must outlive the system. Used
-     * by tests; cfg.obs.traceOut does this against a file.
-     */
-    void attachChromeTrace(std::ostream &os);
-
-    /**
-     * Stream the sampled request-span JSONL (mem/request_trace.hh
-     * schema) to @p os. Requires cfg.obs.traceRequests > 0 (the
-     * sampler only exists then). Call before run(); @p os must
-     * outlive the system. Used by tests; cfg.obs.spansOut does this
-     * against a file.
-     */
-    void attachRequestSpanTrace(std::ostream &os);
 
     /** The request tracer (nullptr when cfg.obs.traceRequests == 0). */
     const RequestTracer *requestTracer() const { return tracer_.get(); }
@@ -170,8 +151,8 @@ class System
      * Serialise (or restore) every component's state through the one
      * serde visitor: cores, traces, caches, MSHRs, DAS manager, DRAM,
      * pending miss events, the clock, warm-up bookkeeping, the
-     * protocol checker / tracer / epoch series when present, and the
-     * full statistic tree. Symmetric — the same call drives both
+     * protocol checker, the tracer / epoch series when present, and
+     * the full statistic tree. Symmetric — the same call drives both
      * directions.
      */
     void serdeState(Archive &ar);
@@ -210,7 +191,7 @@ class System
 
     /** Checkpoint envelope identity (shared with tests and tools). */
     static constexpr std::uint32_t kSnapshotMagic = 0x504b4344u; // "DCKP"
-    static constexpr std::uint16_t kSnapshotVersion = 8;
+    static constexpr std::uint16_t kSnapshotVersion = 9;
     /// @}
 
   private:
@@ -271,22 +252,24 @@ class System
     void startMiss(unsigned core, Addr line, bool is_write, Cycle at,
                    Cycle issue_tick);
     void resetAfterWarmup();
-    /** Re-point every channel at the active set of command sinks. */
-    void rebuildCommandSinks();
+    /** The row-class oracle shared by the controllers and checker. */
+    const RowClassifier &rowClassifier() const;
     /** Run identity stamped into span-JSONL meta records. */
     SpanJsonlMeta spanMeta() const;
 
     SimConfig cfg_;
     std::vector<TraceSource *> traces_;
 
-    std::unique_ptr<RowClassifier> classifier_;
+    std::unique_ptr<RowClassifier> classifier_; ///< uniform designs only
     std::unique_ptr<AsymmetricLayout> layout_;
     DramTiming timing_;
-    std::unique_ptr<ProtocolChecker> checker_;
-    std::unique_ptr<CommandTrace> cmdTrace_;
-    std::unique_ptr<ChromeTraceWriter> chromeTrace_;
+    ProtocolChecker checker_;
     std::unique_ptr<std::ofstream> traceFile_; ///< backs obs.traceOut
-    std::unique_ptr<CommandFanout> cmdFanout_;
+    std::unique_ptr<ChromeTraceWriter> chromeTrace_;
+    std::unique_ptr<CommandTrace> cmdTrace_;   ///< attachCommandTrace
+    /** Every issued command, in order: the checker, the obs.traceOut
+     *  timeline, then the attachCommandTrace text trace. */
+    CommandFanout cmdFanout_;
 
     /// @name Request-lifecycle tracing (all null when traceRequests == 0)
     /// @{
@@ -295,8 +278,6 @@ class System
     std::unique_ptr<CriticalPathAggregator> spanAgg_;
     std::unique_ptr<SpanJsonlWriter> spanWriter_; ///< backs obs.spansOut
     std::unique_ptr<std::ofstream> spansFile_;
-    /** Writers added via attachRequestSpanTrace (tests). */
-    std::vector<std::unique_ptr<SpanJsonlWriter>> attachedSpanWriters_;
     /// @}
 
     std::unique_ptr<EpochSeries> epochs_;

@@ -206,8 +206,11 @@ TEST(DasManager, ResetStatsPreservesMappings)
     h.run(500 * kMemTick);
     GlobalRowId logical = makeGlobalRowId(h.geom, 0, 0, 0, 10);
     ASSERT_TRUE(h.mgr.table().isFast(logical));
-    h.mgr.resetStats();
+    ASSERT_GT(h.mgr.footprintRows(), 0u);
+    h.mgr.stats().resetAll();
+    h.mgr.resetFootprint();
     EXPECT_EQ(h.mgr.promotions(), 0u);
+    EXPECT_EQ(h.mgr.footprintRows(), 0u);
     EXPECT_TRUE(h.mgr.table().isFast(logical)); // mapping kept
 }
 

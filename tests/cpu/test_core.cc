@@ -155,7 +155,7 @@ TEST(Core, ResetStatsClearsCountersOnly)
         core.tick(t);
     }
     EXPECT_GT(core.retired(), 0u);
-    core.resetStats();
+    core.stats().resetAll();
     EXPECT_EQ(core.retired(), 0u);
     EXPECT_EQ(core.cycles(), 0u);
     // Still able to continue executing.

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/migration.hh"
 #include "dram/protocol_checker.hh"
 
 using namespace dasdram;
@@ -270,7 +271,8 @@ TEST_F(ProtocolCheckerTest, MigrationDurationChecked)
     // Every MIGRATE is a swap: a single-row migration's busy time
     // (1.5 tRC) is a violation too.
     feed({migrate(0, 0, 40, 33, 32, 64, timing.swapCycles - 10, 1),
-          migrate(1, 1, 40, 33, 32, 64, timing.migrationCycles, 2),
+          migrate(1, 1, 40, 33, 32, 64,
+                  MigrationProcedure(timing).migrationCycles(), 2),
           migrate(2, 2, 40, 33, 32, 64, timing.swapCycles, 3)});
     EXPECT_EQ(checker.violationCount(), 2u);
     ASSERT_EQ(checker.messages().size(), 2u);

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "common/random.hh"
 #include "completion_recorder.hh"
@@ -30,6 +32,22 @@ struct StressParams
     bool migrations;
     std::uint64_t seed;
 };
+
+/** A mix's name in test IDs: its seed, which is unique per mix. */
+std::string
+stressName(const StressParams &p)
+{
+    return "seed" + std::to_string(p.seed);
+}
+
+/** The test listing prints the name too. Without it, gtest dumps the
+ *  struct's raw bytes, padding included, and the discovered test
+ *  names change from build to build. */
+void
+PrintTo(const StressParams &p, std::ostream *os)
+{
+    *os << stressName(p);
+}
 
 class DramStress : public ::testing::TestWithParam<StressParams>
 {
@@ -116,7 +134,10 @@ INSTANTIATE_TEST_SUITE_P(
         // Everything plus concurrent migrations.
         StressParams{4000, 8, 512, 0.3, true, 4},
         // Write-dominated drain behaviour.
-        StressParams{2000, 4, 128, 0.9, true, 5}));
+        StressParams{2000, 4, 128, 0.9, true, 5}),
+    [](const ::testing::TestParamInfo<StressParams> &info) {
+        return stressName(info.param);
+    });
 
 TEST(DramStressRefresh, LongIdleWithPeriodicTrafficRefreshes)
 {

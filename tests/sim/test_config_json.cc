@@ -37,7 +37,7 @@ TEST(ConfigJson, ModifiedFieldsSurviveTheRoundTrip)
     cfg.ctrl.readQueueDepth = 48;
     cfg.layout.fastRatioDenom = 4;
     cfg.das.promotion.threshold = 9;
-    cfg.obs.histograms = false;
+    cfg.obs.epochMemCycles = 5000;
     cfg.obs.label = "roundtrip";
 
     SimConfig back = configFromJson(configToJson(cfg));
@@ -51,7 +51,7 @@ TEST(ConfigJson, ModifiedFieldsSurviveTheRoundTrip)
     EXPECT_EQ(back.ctrl.readQueueDepth, 48u);
     EXPECT_EQ(back.layout.fastRatioDenom, 4u);
     EXPECT_EQ(back.das.promotion.threshold, 9u);
-    EXPECT_FALSE(back.obs.histograms);
+    EXPECT_EQ(back.obs.epochMemCycles, 5000u);
     EXPECT_EQ(back.obs.label, "roundtrip");
     EXPECT_EQ(configToJson(back), configToJson(cfg));
 }
@@ -91,6 +91,12 @@ TEST(ConfigJson, UnknownKeysAreFatal)
     // Removed with inclusive fast-level management.
     EXPECT_DEATH(configFromJson(R"({"das": {"exclusiveCache": true}})"),
                  "exclusiveCache");
+    // Removed with the checker and histogram switches: both always on.
+    EXPECT_DEATH(configFromJson(R"({"protocolCheck": false})"),
+                 "protocolCheck");
+    EXPECT_DEATH(
+        configFromJson(R"({"observability": {"histograms": false}})"),
+        "histograms");
 }
 
 TEST(ConfigJson, MalformedJsonIsFatal)
@@ -131,6 +137,11 @@ TEST(ConfigJson, SetAssignmentUnknownKeyIsFatal)
                  "promotionThreshold");
     EXPECT_DEATH(applyConfigAssignment(cfg, "das.exclusiveCache=true"),
                  "exclusiveCache");
+    EXPECT_DEATH(applyConfigAssignment(cfg, "protocolCheck=false"),
+                 "protocolCheck");
+    EXPECT_DEATH(
+        applyConfigAssignment(cfg, "observability.histograms=false"),
+        "histograms");
 }
 
 TEST(ConfigJson, MalformedSetAssignmentIsFatal)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -45,6 +46,16 @@ tinyProfile()
     p.workingSetPages = 400;
     p.phaseInstructions = 40'000;
     return p;
+}
+
+/** The whole of the file at @p path. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
 }
 
 /** Parse a JSONL string into records keyed by "type|name". */
@@ -148,28 +159,6 @@ TEST(Observability, StatsJsonlHasPercentilesPerRowClass)
     }
 }
 
-TEST(Observability, HistogramsOffKeepsDumpShape)
-{
-    // cfg.obs.histograms only gates sampling; the records must still
-    // exist (with zero counts) so dumps keep a stable shape for diffs.
-    SimConfig cfg = tinyConfig(DesignKind::Das);
-    cfg.obs.histograms = false;
-    SyntheticTrace trace(tinyProfile(), 1);
-    System sys(cfg, {&trace});
-    sys.run();
-
-    std::ostringstream os;
-    sys.writeStatsJsonl(os);
-    auto recs = parseStats(os.str());
-    ASSERT_TRUE(recs.count("hist|rollup.readLatency"));
-    EXPECT_EQ(num(recs["hist|rollup.readLatency"], "count"), 0.0);
-    ASSERT_TRUE(
-        recs.count("hist|system.dram.channel0.readQueueDelay"));
-    EXPECT_EQ(
-        num(recs["hist|system.dram.channel0.readQueueDelay"], "count"),
-        0.0);
-}
-
 TEST(Observability, StatsJsonlDeterministicAcrossRuns)
 {
     SimConfig cfg = tinyConfig(DesignKind::Das);
@@ -187,16 +176,18 @@ TEST(Observability, StatsJsonlDeterministicAcrossRuns)
 TEST(Observability, ChromeTraceIsWellFormedWithSpansAndInstants)
 {
     SimConfig cfg = tinyConfig(DesignKind::Das);
-    SyntheticTrace trace(tinyProfile(), 1);
-    System sys(cfg, {&trace});
-    std::ostringstream os;
-    sys.attachChromeTrace(os);
-    RunMetrics m = sys.run();
+    cfg.obs.traceOut = ::testing::TempDir() + "obs_chrome_spans.json";
+    RunMetrics m;
+    {
+        SyntheticTrace trace(tinyProfile(), 1);
+        System sys(cfg, {&trace});
+        m = sys.run();
+    }
     ASSERT_GT(m.promotions, 0u); // the workload must exercise DAS
 
     JsonValue v;
     std::string err;
-    ASSERT_TRUE(parseJson(os.str(), v, &err)) << err;
+    ASSERT_TRUE(parseJson(readFile(cfg.obs.traceOut), v, &err)) << err;
     EXPECT_EQ(v.find("displayTimeUnit")->string, "ns");
     const JsonValue *events = v.find("traceEvents");
     ASSERT_TRUE(events && events->isArray());
@@ -225,7 +216,7 @@ TEST(Observability, ChromeTraceIsWellFormedWithSpansAndInstants)
             EXPECT_GT(e.find("dur")->number, 0.0) << name->string;
             if (name->string.rfind("row ", 0) == 0)
                 ++row_spans;
-            if (name->string == "migrate" || name->string == "swap")
+            if (name->string == "swap")
                 ++migrations;
             if (name->string == "RD" || name->string == "WR")
                 ++bursts;
@@ -258,16 +249,18 @@ TEST(Observability, ChromeTraceAndCommandTraceCoexist)
     // through the fanout; the run must stay clean and both outputs
     // must materialise.
     SimConfig cfg = tinyConfig(DesignKind::Das, 60'000);
-    SyntheticTrace trace(tinyProfile(), 1);
-    System sys(cfg, {&trace});
-    std::ostringstream chrome_os, text_os;
-    sys.attachChromeTrace(chrome_os);
-    sys.attachCommandTrace(text_os);
-    sys.run();
+    cfg.obs.traceOut = ::testing::TempDir() + "obs_chrome_coexist.json";
+    std::ostringstream text_os;
+    {
+        SyntheticTrace trace(tinyProfile(), 1);
+        System sys(cfg, {&trace});
+        sys.attachCommandTrace(text_os);
+        sys.run();
+    }
 
     JsonValue v;
     std::string err;
-    ASSERT_TRUE(parseJson(chrome_os.str(), v, &err)) << err;
+    ASSERT_TRUE(parseJson(readFile(cfg.obs.traceOut), v, &err)) << err;
     EXPECT_FALSE(v.find("traceEvents")->array.empty());
     EXPECT_NE(text_os.str().find("ACT"), std::string::npos);
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -55,21 +56,34 @@ struct RunResult
     RunMetrics metrics;
 };
 
+/** The spans come through obs.spansOut, written to a temporary file
+ *  named after the running test (one sampled run per test). */
 RunResult
 runOnce(SimConfig cfg)
 {
-    SyntheticTrace trace(tinyProfile(), 1);
-    System sys(cfg, {&trace});
-    std::ostringstream spans_os, cmd_os, stats_os;
-    if (cfg.obs.traceRequests > 0.0)
-        sys.attachRequestSpanTrace(spans_os);
-    sys.attachCommandTrace(cmd_os);
+    if (cfg.obs.traceRequests > 0.0) {
+        cfg.obs.spansOut =
+            ::testing::TempDir() + "request_tracing_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".jsonl";
+    }
     RunResult r;
-    r.metrics = sys.run();
-    sys.writeStatsJsonl(stats_os);
-    r.spans = spans_os.str();
-    r.commands = cmd_os.str();
-    r.stats = stats_os.str();
+    {
+        std::ostringstream cmd_os, stats_os;
+        SyntheticTrace trace(tinyProfile(), 1);
+        System sys(cfg, {&trace});
+        sys.attachCommandTrace(cmd_os);
+        r.metrics = sys.run();
+        sys.writeStatsJsonl(stats_os);
+        r.commands = cmd_os.str();
+        r.stats = stats_os.str();
+    }
+    if (!cfg.obs.spansOut.empty()) {
+        std::ifstream is(cfg.obs.spansOut);
+        std::ostringstream spans_os;
+        spans_os << is.rdbuf();
+        r.spans = spans_os.str();
+    }
     return r;
 }
 

@@ -288,12 +288,10 @@ TEST(SnapshotDeathTest, FutureVersionIsFatal)
 
 TEST(SnapshotDeathTest, OlderVersionIsFatal)
 {
-    // Version 7 still saved the inclusive-directory presence byte,
-    // each migration job's swap flag and a dense promotion-counter
-    // pool at threshold 1.
+    // Version 8 still saved a protocol-checker presence byte.
     std::string path = tmpPath("snap_older.ckpt");
     std::string err = binfmt::writeEnvelopeFile(
-        path, System::kSnapshotMagic, std::uint16_t{7},
+        path, System::kSnapshotMagic, std::uint16_t{8},
         std::vector<unsigned char>{1, 2, 3});
     ASSERT_TRUE(err.empty()) << err;
 
@@ -301,7 +299,7 @@ TEST(SnapshotDeathTest, OlderVersionIsFatal)
     SyntheticTrace trace(snapProfile(), 1);
     System sys(cfg, {&trace});
     EXPECT_DEATH(sys.loadSnapshot(path),
-                 "version 7 comes from an older build; re-create it");
+                 "version 8 comes from an older build; re-create it");
 }
 
 TEST(SnapshotDeathTest, ConfigFingerprintMismatchIsFatal)

@@ -156,6 +156,23 @@ TEST(SystemDeathTest, OutOfRangeFractionsAreFatal)
     }
 }
 
+TEST(SystemDeathTest, PromotionSettingsCheckedInEveryDesign)
+{
+    // Designs that never promote still reject a zero threshold or
+    // counter pool, so a bad value cannot enter a run's fingerprint.
+    for (DesignKind d : allDesigns()) {
+        for (PromotionConfig bad : {PromotionConfig{0, 1024},
+                                    PromotionConfig{2, 0}}) {
+            SimConfig cfg = tinyConfig(d);
+            cfg.das.promotion = bad;
+            SyntheticTrace t(tinyProfile(), 1);
+            EXPECT_DEATH(System(cfg, {&t}), "must be at least 1")
+                << toString(d) << " threshold=" << bad.threshold
+                << " counters=" << bad.counters;
+        }
+    }
+}
+
 TEST(SimConfig, WarmupInstructionArithmetic)
 {
     SimConfig cfg;

@@ -37,8 +37,8 @@
  * The static-design profiling pre-pass is excluded from the capture.
  *
  * --trace-cmds and --trace-out are independent sinks over the same
- * command stream: both may be given at once (the controller fans out
- * to the text trace, the JSON timeline and the protocol checker).
+ * command stream: both may be given at once (System's command fanout
+ * feeds the protocol checker, the JSON timeline and the text trace).
  * Like --stats, either one reruns the point directly with the same
  * effective seed as the sweep point, so the exports match the summary.
  *
@@ -153,7 +153,6 @@ main(int argc, char **argv)
                     "worker threads (default: DAS_JOBS env, else "
                     "hardware)")
         .option("--json", "FILE", "JSONL export of every point that ran")
-        .toggle("--check", "online DRAM protocol checker (default on)")
         .option("--trace-cmds", "FILE",
                 "write every issued DRAM command as text (direct rerun)")
         .option("--trace-out", "FILE",
@@ -206,7 +205,6 @@ main(int argc, char **argv)
         cfg.seed = cli.uns("--seed", 0);
     if (cli.given("--epoch"))
         cfg.obs.epochMemCycles = cli.uns("--epoch", 0);
-    cfg.protocolCheck = cli.enabled("--check", cfg.protocolCheck);
 
     unsigned jobs = static_cast<unsigned>(cli.uns("--jobs", 0));
     if (cli.given("--jobs") && jobs == 0)
