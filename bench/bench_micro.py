@@ -5,9 +5,10 @@
         [--reps 5] [--min-time 0.2]
 
 For each LABEL=BUILD_DIR, every repetition runs
-BUILD_DIR/bench/micro_components on the ledger's rows (the cache
-lookup, the translation-cache lookup at three capacities and the
-controller's row-hit issue loop). The builds alternate within each
+BUILD_DIR/bench/micro_components on the ledger's rows (the
+translation-table lookup and swap, the construction of a mcf DAS
+System, the cache lookup, the translation-cache lookup at three
+capacities and the controller's row-hit issue loop). The builds alternate within each
 repetition, in reversed order every other time, so host drift and
 order effects hit them alike. Prints one JSON document
 (the BENCH_micro.json format): the host and, per label, each row's
@@ -26,6 +27,9 @@ import sys
 from bench_sweep import build_type, host
 
 ROWS = [
+    "BM_TranslationTableLookup",
+    "BM_TranslationTableSwap",
+    "BM_SystemConstruct",
     "BM_CacheAccess",
     "BM_TranslationCacheLookup/32768",
     "BM_TranslationCacheLookup/131072",

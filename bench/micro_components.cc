@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot components:
  * address decode, translation table/cache operations, cache lookups,
- * trace generation and raw DRAM command throughput. These guard the
+ * trace generation, raw DRAM command throughput and the set-up of a
+ * whole System. These guard the
  * simulator's own performance (it must sustain millions of memory
  * operations per second to make the figure sweeps practical).
  */
@@ -16,7 +17,9 @@
 #include "core/translation_table.hh"
 #include "dram/address_mapping.hh"
 #include "dram/controller.hh"
+#include "sim/system.hh"
 #include "workload/synth_trace.hh"
+#include "workload/workload_spec.hh"
 
 using namespace dasdram;
 
@@ -61,6 +64,29 @@ BM_TranslationTableSwap(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TranslationTableSwap);
+
+static void
+BM_SystemConstruct(benchmark::State &state)
+{
+    // What every run pays before its first cycle: a mcf DAS System
+    // with its traces, built as perfbench's setup_s builds it, then
+    // destroyed.
+    const WorkloadSpec w = WorkloadSpec::single("mcf");
+    SimConfig cfg;
+    cfg.design = DesignKind::Das;
+    cfg.numCores = w.numCores();
+    cfg.obs.workloadName = w.name;
+    for (auto _ : state) {
+        auto traces = buildTraces(w, cfg.seed, cfg.geom.rowBytes,
+                                  cfg.geom.lineBytes);
+        std::vector<TraceSource *> ptrs;
+        for (auto &t : traces)
+            ptrs.push_back(t.get());
+        auto sys = std::make_unique<System>(cfg, ptrs);
+        benchmark::DoNotOptimize(sys.get());
+    }
+}
+BENCHMARK(BM_SystemConstruct);
 
 static void
 BM_TranslationCacheLookup(benchmark::State &state)

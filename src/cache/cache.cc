@@ -139,7 +139,11 @@ Cache::serdeState(Archive &ar)
     }
     ar.liveEntries(
         tags_.size(), "cache '" + name_ + "' line",
-        [this](std::uint64_t i) { return tags_[i] != kAddrInvalid; },
+        [this](auto &&entry) {
+            for (std::size_t i = 0; i < tags_.size(); ++i)
+                if (tags_[i] != kAddrInvalid)
+                    entry(i);
+        },
         [&](std::uint64_t i) {
             bool dirty = dirty_[i] != 0;
             ar.io(tags_[i]);

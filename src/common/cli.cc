@@ -61,14 +61,7 @@ CliParser &
 CliParser::flag(const std::string &name, const std::string &help,
                 const std::string &alias)
 {
-    return add(Opt{name, alias, "", help, Kind::Flag, false, false, {}});
-}
-
-CliParser &
-CliParser::toggle(const std::string &name, const std::string &help)
-{
-    return add(
-        Opt{name, "", "", help, Kind::Toggle, false, false, {}});
+    return add(Opt{name, alias, "", help, Kind::Flag, false, {}});
 }
 
 CliParser &
@@ -76,7 +69,7 @@ CliParser::option(const std::string &name, const std::string &value_name,
                   const std::string &help, const std::string &alias)
 {
     return add(
-        Opt{name, alias, value_name, help, Kind::String, false, false, {}});
+        Opt{name, alias, value_name, help, Kind::String, false, {}});
 }
 
 CliParser &
@@ -85,7 +78,7 @@ CliParser::optionUInt(const std::string &name,
                       const std::string &help, const std::string &alias)
 {
     return add(
-        Opt{name, alias, value_name, help, Kind::UInt, false, false, {}});
+        Opt{name, alias, value_name, help, Kind::UInt, false, {}});
 }
 
 CliParser &
@@ -94,7 +87,7 @@ CliParser::optionDouble(const std::string &name,
                         const std::string &help, const std::string &alias)
 {
     return add(
-        Opt{name, alias, value_name, help, Kind::Double, false, false, {}});
+        Opt{name, alias, value_name, help, Kind::Double, false, {}});
 }
 
 CliParser &
@@ -149,25 +142,17 @@ CliParser::tryParse(int argc, char **argv, std::string &err)
         }
 
         Opt *opt = find(arg);
-        bool toggle_on = true;
-        if (!opt && arg.compare(0, 5, "--no-") == 0) {
-            opt = find("--" + arg.substr(5));
-            if (opt && opt->kind != Kind::Toggle)
-                opt = nullptr;
-            toggle_on = false;
-        }
         if (!opt) {
             err = formatStr("unknown argument '{}' (try --help)", arg);
             return false;
         }
 
-        if (opt->kind == Kind::Flag || opt->kind == Kind::Toggle) {
+        if (opt->kind == Kind::Flag) {
             if (has_inline) {
                 err = formatStr("'{}' takes no value", arg);
                 return false;
             }
             opt->seen = true;
-            opt->toggleState = toggle_on;
             continue;
         }
 
@@ -249,8 +234,6 @@ CliParser::usage() const
     std::size_t width = 0;
     for (const Opt &o : opts_) {
         std::string l = "  " + o.name;
-        if (o.kind == Kind::Toggle)
-            l += " / --no-" + o.name.substr(2);
         if (!o.alias.empty())
             l += ", " + o.alias;
         if (!o.valueName.empty())
@@ -323,13 +306,6 @@ CliParser::dbl(const std::string &name, double def) const
     double v = 0;
     parseDoubleStrict(o.values.back(), v); // validated during parse
     return v;
-}
-
-bool
-CliParser::enabled(const std::string &name, bool def) const
-{
-    const Opt &o = require(name, Kind::Toggle);
-    return o.seen ? o.toggleState : def;
 }
 
 } // namespace dasdram

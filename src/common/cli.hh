@@ -40,13 +40,6 @@ class CliParser
     CliParser &flag(const std::string &name, const std::string &help,
                     const std::string &alias = "");
 
-    /**
-     * An on/off flag pair: toggle("--check", ...) declares both
-     * --check and --no-check; the last occurrence wins. Read with
-     * enabled().
-     */
-    CliParser &toggle(const std::string &name, const std::string &help);
-
     /** String-valued option (last occurrence wins; see strs() for
      *  repeatable use). */
     CliParser &option(const std::string &name,
@@ -113,9 +106,6 @@ class CliParser
     /** Last value of a double option, or @p def when absent. */
     double dbl(const std::string &name, double def) const;
 
-    /** State of a toggle(): last of --name/--no-name, or @p def. */
-    bool enabled(const std::string &name, bool def) const;
-
     const std::vector<std::string> &positionalValues() const
     {
         return positionals_;
@@ -127,7 +117,6 @@ class CliParser
     enum class Kind
     {
         Flag,
-        Toggle,
         String,
         UInt,
         Double,
@@ -141,7 +130,6 @@ class CliParser
         std::string help;
         Kind kind = Kind::Flag;
         bool seen = false;
-        bool toggleState = false;
         std::vector<std::string> values;
     };
 

@@ -136,29 +136,29 @@ class Archive
     /**
      * A table of @p n entries stored as its live entries only: their
      * count, then each live entry's index in ascending order followed
-     * by the fields @p fields(i) reads or writes. Saving visits every
-     * index i < n with @p live(i) true, so the bytes depend on the
-     * contents alone. Loading checks each index is below @p n and
-     * above the previous one, else fatal() naming @p what and the
-     * index; the caller resets the table to its constructed state
-     * first and validates the fields.
+     * by the fields @p fields(i) reads or writes. Saving calls
+     * @p each_live(entry), which calls entry(i) for every live index
+     * i < n in ascending order, so the bytes depend on the contents
+     * alone and a sparse table can skip what it never allocated.
+     * Loading checks each index is below @p n and above the previous
+     * one, else fatal() naming @p what and the index; the caller
+     * resets the table to its constructed state first and validates
+     * the fields.
      */
-    template <typename Live, typename Fields>
+    template <typename EachLive, typename Fields>
     void
-    liveEntries(std::uint64_t n, std::string_view what, Live live,
+    liveEntries(std::uint64_t n, std::string_view what, EachLive each_live,
                 Fields fields)
     {
         std::uint64_t count = 0;
         if (saving_) {
             const std::size_t at = pos_;
             raw64(count); // patched once the entries are written
-            for (std::uint64_t i = 0; i < n; ++i) {
-                if (live(i)) {
-                    raw64(i);
-                    fields(i);
-                    ++count;
-                }
-            }
+            each_live([&](std::uint64_t i) {
+                raw64(i);
+                fields(i);
+                ++count;
+            });
             std::memcpy(out_ + at, &count, 8);
             return;
         }

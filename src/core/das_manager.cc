@@ -12,10 +12,10 @@ DasManager::DasManager(DramSystem &dram, CacheHierarchy *caches,
                        const AsymmetricLayout &layout,
                        const DasConfig &cfg)
     : dram_(&dram), caches_(caches), layout_(&layout), cfg_(cfg),
+      touchedRows_(divCeil(dram.geometry().totalRows(), 64)),
       statGroup_("dasManager")
 {
     dram.setCompletionSink(this);
-    touchedRows_.assign(divCeil(dram.geometry().totalRows(), 64), 0);
     table_ = std::make_unique<TranslationTable>(layout);
     if (cfg.mode == ManagementMode::Dynamic) {
         if (!caches_)
@@ -81,7 +81,7 @@ DasManager::footprintRows() const
 void
 DasManager::resetFootprint()
 {
-    std::fill(touchedRows_.begin(), touchedRows_.end(), 0);
+    touchedRows_.reset();
     touchedCount_ = 0;
 }
 
@@ -436,19 +436,22 @@ DasManager::serdeState(Archive &ar)
     std::uint64_t touched = touchedCount_;
     ar.ioCount(touched);
     if (ar.saving()) {
-        for (std::size_t w = 0; w < touchedRows_.size(); ++w) {
-            for (std::uint64_t bits = touchedRows_[w]; bits;
-                 bits &= bits - 1) {
-                std::uint64_t row =
-                    w * 64 + static_cast<unsigned>(std::countr_zero(bits));
-                ar.io(row);
+        touchedRows_.forEachPage([&](std::uint64_t first,
+                                     const std::uint64_t *words,
+                                     std::uint64_t n) {
+            for (std::uint64_t w = 0; w < n; ++w) {
+                for (std::uint64_t bits = words[w]; bits; bits &= bits - 1) {
+                    std::uint64_t row =
+                        (first + w) * 64 +
+                        static_cast<unsigned>(std::countr_zero(bits));
+                    ar.io(row);
+                }
             }
-        }
+        });
     } else {
         const std::uint64_t total_rows = dram_->geometry().totalRows();
-        std::fill(touchedRows_.begin(), touchedRows_.end(), 0);
-        touchedCount_ = 0;
-        for (std::uint64_t i = 0; i < touched; ++i) {
+        resetFootprint();
+        for (std::uint64_t i = 0, prev = 0; i < touched; ++i) {
             std::uint64_t row = 0;
             ar.io(row);
             if (row >= total_rows) {
@@ -456,7 +459,14 @@ DasManager::serdeState(Archive &ar)
                       "the geometry's {} rows",
                       row, total_rows);
             }
+            if (i > 0 && row <= prev) {
+                fatal("checkpoint: DAS manager footprint row {} does not "
+                      "follow footprint row {}: rows are saved in "
+                      "ascending order",
+                      row, prev);
+            }
             markTouched(row);
+            prev = row;
         }
     }
     ar.end();

@@ -20,6 +20,7 @@
 
 #include "cache/hierarchy.hh"
 #include "common/stats.hh"
+#include "common/zero_paged.hh"
 #include "core/promotion_policy.hh"
 #include "core/replacement_policy.hh"
 #include "core/subarray_layout.hh"
@@ -231,7 +232,7 @@ class DasManager : private CompletionSink
     void
     markTouched(GlobalRowId row)
     {
-        std::uint64_t &word = touchedRows_[row >> 6];
+        std::uint64_t &word = touchedRows_.at(row >> 6);
         const std::uint64_t bit = std::uint64_t{1} << (row & 63);
         touchedCount_ += (word & bit) ? 0 : 1;
         word |= bit;
@@ -257,7 +258,7 @@ class DasManager : private CompletionSink
     std::unordered_set<std::uint64_t> swapsInFlight_; ///< group ids
     /** Footprint: one bit per global row ever accessed since the
      *  last statistics reset, and the number of bits set. */
-    std::vector<std::uint64_t> touchedRows_;
+    ZeroPagedArray<std::uint64_t> touchedRows_;
     std::uint64_t touchedCount_ = 0;
 
     StatGroup statGroup_;

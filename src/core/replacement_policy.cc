@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "common/log.hh"
 
@@ -42,22 +43,20 @@ FastSlotReplacement::FastSlotReplacement(FastReplPolicy policy,
                                          unsigned slots_per_group,
                                          std::uint64_t total_groups,
                                          std::uint64_t seed)
-    : policy_(policy), slots_(slots_per_group), totalGroups_(total_groups),
+    : policy_(policy), slots_(slots_per_group),
+      lastUse_(policy == FastReplPolicy::Lru ? total_groups * slots_ : 0),
+      seqPtr_(policy == FastReplPolicy::Sequential ? total_groups : 0),
       rng_(seed)
 {
     if (slots_ == 0)
         fatal("fast-slot replacement needs at least one slot per group");
-    if (policy_ == FastReplPolicy::Lru)
-        lastUse_.assign(totalGroups_ * slots_, 0);
-    if (policy_ == FastReplPolicy::Sequential)
-        seqPtr_.assign(totalGroups_, 0);
 }
 
 void
 FastSlotReplacement::onFastAccess(std::uint64_t group, unsigned slot)
 {
     if (policy_ == FastReplPolicy::Lru)
-        lastUse_[group * slots_ + slot] = ++stampCounter_;
+        lastUse_.at(group * slots_ + slot) = ++stampCounter_;
 }
 
 unsigned
@@ -65,18 +64,21 @@ FastSlotReplacement::chooseVictim(std::uint64_t group)
 {
     switch (policy_) {
       case FastReplPolicy::Lru: {
-        const std::uint64_t *base = &lastUse_[group * slots_];
+        const std::uint64_t base = group * slots_;
         unsigned victim = 0;
+        std::uint64_t oldest = lastUse_[base];
         for (unsigned s = 1; s < slots_; ++s) {
-            if (base[s] < base[victim])
+            if (lastUse_[base + s] < oldest) {
                 victim = s;
+                oldest = lastUse_[base + s];
+            }
         }
         return victim;
       }
       case FastReplPolicy::Random:
         return static_cast<unsigned>(rng_.nextBelow(slots_));
       case FastReplPolicy::Sequential: {
-        std::uint8_t &ptr = seqPtr_[group];
+        std::uint8_t &ptr = seqPtr_.at(group);
         unsigned victim = ptr;
         ptr = static_cast<std::uint8_t>((ptr + 1) % slots_);
         return victim;
@@ -97,27 +99,33 @@ namespace
  * t - top zero entries. A token covers at least one entry, so the
  * code is never longer than the table; trailing zeros are dropped.
  * With no token value above @p top, zeros are written as values.
+ * Only allocated pages are read; the entries between them are zero.
  */
 template <typename T>
 std::vector<T>
-zeroRunEncode(const std::vector<T> &table, std::uint64_t top)
+zeroRunEncode(const ZeroPagedArray<T> &table, std::uint64_t top)
 {
     const std::uint64_t t_max = std::numeric_limits<T>::max();
     const std::uint64_t max_run = top < t_max ? t_max - top : 0;
     std::vector<T> tokens;
-    std::uint64_t run = 0;
-    for (T v : table) {
-        if (v == 0) {
-            ++run;
-            continue;
+    std::uint64_t run = 0, next = 0;
+    table.forEachPage([&](std::uint64_t first, const T *entries,
+                          std::uint64_t n) {
+        run += first - next;
+        next = first + n;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            if (entries[i] == 0) {
+                ++run;
+                continue;
+            }
+            while (run > 0) {
+                const std::uint64_t k = max_run ? std::min(run, max_run) : 1;
+                tokens.push_back(static_cast<T>(max_run ? top + k : 0));
+                run -= k;
+            }
+            tokens.push_back(entries[i]);
         }
-        while (run > 0) {
-            const std::uint64_t k = max_run ? std::min(run, max_run) : 1;
-            tokens.push_back(static_cast<T>(max_run ? top + k : 0));
-            run -= k;
-        }
-        tokens.push_back(v);
-    }
+    });
     return tokens;
 }
 
@@ -125,7 +133,7 @@ zeroRunEncode(const std::vector<T> &table, std::uint64_t top)
  *  tokens in host byte order, as Archive's fields are). */
 template <typename T>
 void
-serdeZeroRuns(Archive &ar, std::vector<T> &table, std::uint64_t top,
+serdeZeroRuns(Archive &ar, ZeroPagedArray<T> &table, std::uint64_t top,
               const char *what)
 {
     std::vector<T> tokens;
@@ -143,7 +151,7 @@ serdeZeroRuns(Archive &ar, std::vector<T> &table, std::uint64_t top,
     ar.blob(tokens.data(), tokens.size() * sizeof(T));
     if (ar.saving())
         return;
-    std::fill(table.begin(), table.end(), T{0});
+    table.reset();
     std::uint64_t pos = 0;
     for (T t : tokens) {
         const std::uint64_t k = t > top ? t - top : 1;
@@ -152,8 +160,8 @@ serdeZeroRuns(Archive &ar, std::vector<T> &table, std::uint64_t top,
                   "{} entries, past the table's {}",
                   what, pos, k, table.size());
         }
-        if (t <= top)
-            table[pos] = t;
+        if (t != 0 && t <= top)
+            table.at(pos) = t;
         pos += k;
     }
 }

@@ -10,9 +10,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/random.hh"
+#include "common/zero_paged.hh"
 
 namespace dasdram
 {
@@ -34,7 +34,8 @@ const char *toString(FastReplPolicy p);
 
 /**
  * Chooses which fast slot of a migration group to evict on promotion.
- * Dense per-group state sized once from the layout.
+ * Per-group state is zero-paged: a group that was never touched holds
+ * no memory and reads as all zero.
  */
 class FastSlotReplacement
 {
@@ -56,16 +57,16 @@ class FastSlotReplacement
      * Checkpoint the counters, the RNG and the touched entries of the
      * per-group recency stamps and cursors. Untouched entries are 0
      * and are folded into zero runs (see replacement_policy.cc), so
-     * the saved form is never longer than the dense tables.
+     * the saved form is never longer than the dense tables; only
+     * allocated pages are walked.
      */
     void serdeState(Archive &ar);
 
   private:
     FastReplPolicy policy_;
     unsigned slots_;
-    std::uint64_t totalGroups_;
-    std::vector<std::uint64_t> lastUse_; ///< LRU stamps (Lru only)
-    std::vector<std::uint8_t> seqPtr_;   ///< per-group cursor (Sequential)
+    ZeroPagedArray<std::uint64_t> lastUse_; ///< LRU stamps (Lru only)
+    ZeroPagedArray<std::uint8_t> seqPtr_; ///< per-group cursor (Sequential)
     std::uint64_t stampCounter_ = 0;
     std::uint64_t globalCounter_ = 0;
     Rng rng_;

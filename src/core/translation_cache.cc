@@ -114,7 +114,11 @@ TranslationCache::serdeState(Archive &ar)
     }
     ar.liveEntries(
         rows_.size(), "tag-cache entry",
-        [this](std::uint64_t i) { return valid_[i] != 0; },
+        [this](auto &&entry) {
+            for (std::size_t i = 0; i < valid_.size(); ++i)
+                if (valid_[i] != 0)
+                    entry(i);
+        },
         [&](std::uint64_t i) {
             ar.io(rows_[i]);
             ar.io(stamps_[i]);

@@ -1,7 +1,6 @@
 #include "translation_table.hh"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/log.hh"
 
@@ -9,76 +8,51 @@ namespace dasdram
 {
 
 TranslationTable::TranslationTable(const AsymmetricLayout &layout)
-    : layout_(&layout), groupSize_(layout.groupSize())
+    : layout_(&layout), groupSize_(layout.groupSize()),
+      groupMask_(groupSize_ - 1),
+      perm_(layout.totalGroups() * groupSize_),
+      inverse_(layout.totalGroups() * groupSize_)
 {
     if (groupSize_ > 256)
         fatal("migration groups above 256 rows need multi-byte entries");
-    reset();
+    if (!isPowerOfTwo(groupSize_))
+        fatal("migration groups of {} rows: the translation table needs "
+              "a power of two",
+              groupSize_);
 }
+
+// A group of up to 256 aligned entries never straddles a page.
+static_assert(ZeroPagedArray<std::uint8_t>::kPageEntries % 256 == 0);
 
 void
 TranslationTable::reset()
 {
-    std::uint64_t total =
-        layout_->totalGroups() * static_cast<std::uint64_t>(groupSize_);
-    perm_.assign(total, 0);
-    inverse_.assign(total, 0);
-    for (std::uint64_t g = 0; g < layout_->totalGroups(); ++g) {
-        std::uint8_t *p = &perm_[g * groupSize_];
-        std::uint8_t *inv = &inverse_[g * groupSize_];
-        for (unsigned s = 0; s < groupSize_; ++s) {
-            p[s] = static_cast<std::uint8_t>(s);
-            inv[s] = static_cast<std::uint8_t>(s);
-        }
-    }
+    perm_.reset();
+    inverse_.reset();
     swaps_ = 0;
-}
-
-std::uint64_t
-TranslationTable::groupIndex(GlobalRowId row) const
-{
-    return row / groupSize_;
-}
-
-GlobalRowId
-TranslationTable::physicalOf(GlobalRowId logical) const
-{
-    std::uint64_t g = groupIndex(logical);
-    unsigned slot = static_cast<unsigned>(logical % groupSize_);
-    return g * groupSize_ + perm_[g * groupSize_ + slot];
-}
-
-GlobalRowId
-TranslationTable::logicalOf(GlobalRowId physical) const
-{
-    std::uint64_t g = groupIndex(physical);
-    unsigned slot = static_cast<unsigned>(physical % groupSize_);
-    return g * groupSize_ + inverse_[g * groupSize_ + slot];
-}
-
-bool
-TranslationTable::isFast(GlobalRowId logical) const
-{
-    std::uint64_t g = groupIndex(logical);
-    unsigned slot = static_cast<unsigned>(logical % groupSize_);
-    return layout_->slotIsFast(perm_[g * groupSize_ + slot]);
 }
 
 void
 TranslationTable::swap(GlobalRowId logical_a, GlobalRowId logical_b)
 {
-    std::uint64_t g = groupIndex(logical_a);
-    if (g != groupIndex(logical_b))
+    if ((logical_a ^ logical_b) > groupMask_)
         panic("translation swap across migration groups");
     if (logical_a == logical_b)
         return;
-    unsigned sa = static_cast<unsigned>(logical_a % groupSize_);
-    unsigned sb = static_cast<unsigned>(logical_b % groupSize_);
-    std::uint8_t *p = &perm_[g * groupSize_];
-    std::uint8_t *inv = &inverse_[g * groupSize_];
-    std::swap(p[sa], p[sb]);
-    inv[p[sa]] = static_cast<std::uint8_t>(sa);
-    inv[p[sb]] = static_cast<std::uint8_t>(sb);
+    // Both rows, and the physical slots they occupy, are in one group,
+    // whose entries are contiguous on one page of each array. Within
+    // it a row's distance is its slot's: the group bits cancel.
+    const GlobalRowId base = logical_a & ~groupMask_;
+    std::uint8_t *perm = &perm_.at(base);
+    std::uint8_t *inv = &inverse_.at(base);
+    const unsigned sa = static_cast<unsigned>(logical_a & groupMask_);
+    const unsigned sb = static_cast<unsigned>(logical_b & groupMask_);
+    const unsigned pa = sa ^ perm[sa];
+    const unsigned pb = sb ^ perm[sb];
+    perm[sa] = static_cast<std::uint8_t>(sa ^ pb);
+    perm[sb] = static_cast<std::uint8_t>(sb ^ pa);
+    inv[pb] = static_cast<std::uint8_t>(pb ^ sa);
+    inv[pa] = static_cast<std::uint8_t>(pa ^ sb);
     ++swaps_;
 }
 
@@ -88,7 +62,7 @@ TranslationTable::logicalInFastSlot(std::uint64_t group,
 {
     if (fast_slot >= layout_->fastSlotsPerGroup())
         panic("fast slot index out of range");
-    return group * groupSize_ + inverse_[group * groupSize_ + fast_slot];
+    return logicalOf(group * groupSize_ + fast_slot);
 }
 
 void
@@ -99,35 +73,48 @@ TranslationTable::serdeState(Archive &ar)
         reset();
     ar.liveEntries(
         layout_->totalGroups(), "translation-table group",
-        [this](std::uint64_t g) {
-            // A permutation is sorted only when it is the identity.
-            const std::uint8_t *p = &perm_[g * groupSize_];
-            return !std::is_sorted(p, p + groupSize_);
+        [this](auto &&entry) {
+            // A group differs from the identity iff an entry is
+            // non-zero, and only written pages can hold one. A page
+            // holds whole groups: both sizes are powers of two.
+            perm_.forEachPage([&](std::uint64_t first,
+                                  const std::uint8_t *d, std::uint64_t n) {
+                for (std::uint64_t s = 0; s < n; s += groupSize_) {
+                    if (std::any_of(d + s, d + s + groupSize_,
+                                    [](std::uint8_t x) { return x != 0; }))
+                        entry((first + s) / groupSize_);
+                }
+            });
         },
-        [&](std::uint64_t g) {
-            std::uint8_t *p = &perm_[g * groupSize_];
-            ar.blob(p, groupSize_);
-            if (ar.loading())
-                restoreInverse(g);
-        });
+        [&](std::uint64_t g) { serdeGroup(ar, g); });
     ar.io(swaps_);
     ar.end();
 }
 
 void
-TranslationTable::restoreInverse(std::uint64_t g)
+TranslationTable::serdeGroup(Archive &ar, std::uint64_t g)
 {
-    const std::uint8_t *p = &perm_[g * groupSize_];
-    std::uint8_t *inv = &inverse_[g * groupSize_];
-    std::vector<bool> seen(groupSize_, false);
+    const GlobalRowId base = g * groupSize_;
+    std::uint8_t phys[256];
+    if (ar.saving()) {
+        for (unsigned s = 0; s < groupSize_; ++s)
+            phys[s] = static_cast<std::uint8_t>(s ^ perm_[base + s]);
+    }
+    ar.blob(phys, groupSize_);
+    if (ar.saving())
+        return;
+    std::uint8_t *perm = &perm_.at(base);
+    std::uint8_t *inv = &inverse_.at(base);
+    bool seen[256] = {};
     for (unsigned s = 0; s < groupSize_; ++s) {
-        if (p[s] >= groupSize_ || seen[p[s]]) {
+        if (phys[s] >= groupSize_ || seen[phys[s]]) {
             fatal("checkpoint: translation-table group {}: slot {} maps to "
                   "{}, so the group is not a permutation of 0..{}",
-                  g, s, unsigned{p[s]}, groupSize_ - 1);
+                  g, s, unsigned{phys[s]}, groupSize_ - 1);
         }
-        seen[p[s]] = true;
-        inv[p[s]] = static_cast<std::uint8_t>(s);
+        seen[phys[s]] = true;
+        perm[s] = static_cast<std::uint8_t>(s ^ phys[s]);
+        inv[phys[s]] = static_cast<std::uint8_t>(s ^ phys[s]);
     }
 }
 

@@ -7,15 +7,22 @@
  * slots; with G ≤ 256 an entry is one byte, which is what makes the
  * in-memory table and its caching affordable. This class is the
  * functional model; TranslationCache models lookup timing.
+ *
+ * An entry is stored as the XOR distance of the row from where the
+ * identity mapping puts it: 0 means "not moved". G is a power of two
+ * (it divides the power-of-two rows per bank) and groups are aligned,
+ * so the distance stays below G and a lookup is one XOR. The entries
+ * live in zero-paged arrays: a fresh or reset table allocates nothing,
+ * and only the pages a swap writes exist.
  */
 
 #ifndef DASDRAM_CORE_TRANSLATION_TABLE_HH
 #define DASDRAM_CORE_TRANSLATION_TABLE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/serde.hh"
+#include "common/zero_paged.hh"
 #include "core/subarray_layout.hh"
 #include "dram/geometry.hh"
 
@@ -32,13 +39,26 @@ class TranslationTable
     explicit TranslationTable(const AsymmetricLayout &layout);
 
     /** Physical row currently holding logical row @p logical. */
-    GlobalRowId physicalOf(GlobalRowId logical) const;
+    GlobalRowId
+    physicalOf(GlobalRowId logical) const
+    {
+        return logical ^ perm_[logical];
+    }
 
     /** Logical row currently stored in physical row @p physical. */
-    GlobalRowId logicalOf(GlobalRowId physical) const;
+    GlobalRowId
+    logicalOf(GlobalRowId physical) const
+    {
+        return physical ^ inverse_[physical];
+    }
 
     /** True iff logical row @p logical currently lives in a fast slot. */
-    bool isFast(GlobalRowId logical) const;
+    bool
+    isFast(GlobalRowId logical) const
+    {
+        return layout_->slotIsFast(
+            static_cast<unsigned>(physicalOf(logical) & groupMask_));
+    }
 
     /**
      * Swap the physical locations of two logical rows. They must
@@ -56,8 +76,15 @@ class TranslationTable
     /** Number of swaps performed so far. */
     std::uint64_t swapCount() const { return swaps_; }
 
-    /** Reset to the identity mapping. */
+    /** Reset to the identity mapping, releasing every page. */
     void reset();
+
+    /** Pages allocated for the mapping and its inverse. */
+    std::size_t
+    residentPages() const
+    {
+        return perm_.residentPages() + inverse_.residentPages();
+    }
 
     /**
      * Byte address of the table entry for @p logical in the reserved
@@ -81,18 +108,17 @@ class TranslationTable
     void serdeState(Archive &ar);
 
   private:
-    std::uint64_t groupIndex(GlobalRowId row) const;
-
-    /** Loader: rebuild group @p g's inverse from its restored
-     *  permutation, fatal() unless it permutes 0..G-1. */
-    void restoreInverse(std::uint64_t g);
+    /** Save or load group @p g as its G physical-slot bytes; the
+     *  loader fatal()s unless they permute 0..G-1. */
+    void serdeGroup(Archive &ar, std::uint64_t g);
 
     const AsymmetricLayout *layout_;
     unsigned groupSize_;
-    /** perm_[group * G + logicalSlot] = physicalSlot. */
-    std::vector<std::uint8_t> perm_;
-    /** inverse_[group * G + physicalSlot] = logicalSlot. */
-    std::vector<std::uint8_t> inverse_;
+    GlobalRowId groupMask_; ///< G - 1
+    /** perm_[logical] = logical ^ physical. */
+    ZeroPagedArray<std::uint8_t> perm_;
+    /** inverse_[physical] = physical ^ logical. */
+    ZeroPagedArray<std::uint8_t> inverse_;
     std::uint64_t swaps_ = 0;
 };
 

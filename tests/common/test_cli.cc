@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the shared CliParser: both value spellings, aliases,
- * toggles, strict numeric validation (the class of bug that made
+ * strict numeric validation (the class of bug that made
  * dasdram_compare accept `--tolerance abc` as 0), repeatable options,
  * positional-count enforcement and the tryParse/parse split.
  */
@@ -34,7 +34,6 @@ makeParser()
 {
     CliParser cli("prog", "test parser");
     cli.flag("--quiet", "say less", "-q")
-        .toggle("--check", "checker")
         .option("--name", "STR", "a string")
         .option("--metric", "NAME", "repeatable")
         .optionUInt("--count", "N", "a number")
@@ -82,23 +81,6 @@ TEST(Cli, LastOccurrenceWinsAndStrsKeepsAll)
     EXPECT_EQ(cli.strs("--metric")[1], "b");
 }
 
-TEST(Cli, ToggleLastWins)
-{
-    CliParser cli = makeParser();
-    std::string err;
-    ASSERT_TRUE(tryArgs(cli, {"--check", "--no-check"}, err)) << err;
-    EXPECT_FALSE(cli.enabled("--check", true));
-
-    CliParser cli2 = makeParser();
-    ASSERT_TRUE(tryArgs(cli2, {"--no-check", "--check"}, err)) << err;
-    EXPECT_TRUE(cli2.enabled("--check", false));
-
-    CliParser cli3 = makeParser();
-    ASSERT_TRUE(tryArgs(cli3, {}, err)) << err;
-    EXPECT_TRUE(cli3.enabled("--check", true));
-    EXPECT_FALSE(cli3.enabled("--check", false));
-}
-
 TEST(Cli, StrictUnsignedValidation)
 {
     CliParser cli = makeParser();
@@ -136,6 +118,12 @@ TEST(Cli, UnknownOptionAndMissingValueAreErrors)
     CliParser cli2 = makeParser();
     EXPECT_FALSE(tryArgs(cli2, {"--name"}, err));
     EXPECT_NE(err.find("--name"), std::string::npos);
+
+    // There is no --no- prefix: it is an unknown option like any other.
+    CliParser cli3 = makeParser();
+    EXPECT_FALSE(tryArgs(cli3, {"--no-check"}, err));
+    EXPECT_NE(err.find("unknown argument '--no-check'"), std::string::npos)
+        << err;
 }
 
 TEST(Cli, PositionalCountsEnforced)
@@ -171,7 +159,7 @@ TEST(Cli, HelpSetsFlagWithoutFailing)
 
     std::string usage = cli.usage();
     for (const char *needle :
-         {"--quiet", "--check", "--name", "--count", "test parser"})
+         {"--quiet", "--ratio", "--name", "--count", "test parser"})
         EXPECT_NE(usage.find(needle), std::string::npos) << needle;
 }
 

@@ -144,6 +144,25 @@ TEST(Replacement, SequentialRoundRobins)
     EXPECT_EQ(r.chooseVictim(5), 0u);
 }
 
+TEST(Replacement, NeverTouchedGroupOfADeviceSizedTable)
+{
+    // 32768 groups: the default device's. Groups 0 and the last are
+    // touched; group 20000 lies on a page nothing wrote.
+    const std::uint64_t groups = 32768;
+    FastSlotReplacement lru(FastReplPolicy::Lru, 4, groups);
+    lru.onFastAccess(0, 0);
+    lru.onFastAccess(groups - 1, 0);
+    lru.onFastAccess(groups - 1, 1);
+    EXPECT_EQ(lru.chooseVictim(20000), 0u);
+    EXPECT_EQ(lru.chooseVictim(groups - 1), 2u);
+
+    FastSlotReplacement seq(FastReplPolicy::Sequential, 4, groups);
+    EXPECT_EQ(seq.chooseVictim(groups - 1), 0u);
+    EXPECT_EQ(seq.chooseVictim(20000), 0u);
+    EXPECT_EQ(seq.chooseVictim(20000), 1u);
+    EXPECT_EQ(seq.chooseVictim(20001), 0u);
+}
+
 TEST(Replacement, PseudoRandomUsesGlobalCounter)
 {
     FastSlotReplacement r(FastReplPolicy::PseudoRandom, 4, 10);
@@ -270,6 +289,31 @@ TEST(Replacement, CursorsWithoutRoomForRunsRoundTrip)
     in.finish();
     EXPECT_EQ(savedBytes(b), bytes);
     for (std::uint64_t g = 0; g < 40; ++g)
+        ASSERT_EQ(a.chooseVictim(g), b.chooseVictim(g)) << g;
+}
+
+TEST(Replacement, DeviceSizedStampsRoundTripAcrossUnwrittenPages)
+{
+    // Three stamps on three pages of a 32768-group table, with pages
+    // nothing wrote between them: each stamp costs one zero run and
+    // one value, as in the dense form's code.
+    const std::uint64_t groups = 32768;
+    FastSlotReplacement a(FastReplPolicy::Lru, 4, groups);
+    const std::size_t empty = savedBytes(a).size();
+    a.onFastAccess(0, 1);
+    a.onFastAccess(20000, 3);
+    a.onFastAccess(groups - 1, 2);
+    const std::vector<unsigned char> bytes = savedBytes(a);
+    EXPECT_EQ(bytes.size(), empty + 6 * 8);
+
+    FastSlotReplacement b(FastReplPolicy::Lru, 4, groups);
+    b.onFastAccess(7, 0); // the load replaces, not merges
+    Archive in(bytes);
+    b.serdeState(in);
+    in.finish();
+    EXPECT_EQ(savedBytes(b), bytes);
+    for (std::uint64_t g : {std::uint64_t{0}, std::uint64_t{7},
+                            std::uint64_t{20000}, groups - 1})
         ASSERT_EQ(a.chooseVictim(g), b.chooseVictim(g)) << g;
 }
 

@@ -152,6 +152,20 @@ TEST(TranslationTableDeathTest, CrossGroupSwapPanics)
     EXPECT_DEATH(t.swap(0, 40), "across migration groups");
 }
 
+TEST(TranslationTableDeathTest, GroupSizeNotAPowerOfTwoIsFatal)
+{
+    // Entries are XOR distances, which stay inside a group only when
+    // its size is a power of two.
+    DramGeometry g = smallGeom();
+    g.rowsPerBank = 96;
+    LayoutConfig cfg;
+    cfg.groupSize = 24;
+    AsymmetricLayout l(g, cfg);
+    EXPECT_DEATH(TranslationTable{l}, "migration groups of 24 rows: the "
+                                      "translation table needs a power "
+                                      "of two");
+}
+
 namespace
 {
 
@@ -303,4 +317,84 @@ TEST(TranslationTableDeathTest, GroupThatIsNotAPermutationIsFatal)
     outside[31] = 32;
     EXPECT_DEATH(restoreTable(craftedTable({{6, outside}})),
                  "translation-table group 6: slot 31 maps to 32");
+}
+
+TEST(TranslationTable, FreshDeviceTableIsTheIdentityWithNoPages)
+{
+    DramGeometry g; // the default 8 GiB device
+    AsymmetricLayout l(g, {});
+    TranslationTable t(l);
+    const GlobalRowId last = g.totalRows() - 1;
+    for (GlobalRowId r : {GlobalRowId{0}, GlobalRowId{31}, GlobalRowId{32},
+                          last}) {
+        EXPECT_EQ(t.physicalOf(r), r);
+        EXPECT_EQ(t.logicalOf(r), r);
+        EXPECT_EQ(t.isFast(r), l.slotIsFast(l.slotOf(r))) << r;
+    }
+    EXPECT_TRUE(t.isFast(32));
+    EXPECT_FALSE(t.isFast(31));
+    EXPECT_EQ(t.logicalInFastSlot(l.totalGroups() - 1, 0),
+              last - (l.groupSize() - 1));
+    EXPECT_EQ(t.residentPages(), 0u);
+}
+
+namespace
+{
+
+/** Swap a slow row into a fast slot in group 0 and the last group. */
+void
+swapFirstAndLastGroup(TranslationTable &t, const DramGeometry &g)
+{
+    const GlobalRowId last = g.totalRows() - 1;
+    t.swap(1, 30);
+    t.swap(last, last - 31);
+    t.swap(last - 1, last - 30);
+}
+
+} // namespace
+
+TEST(TranslationTable, ResetAfterSparseSwapsIsTheIdentityEverywhere)
+{
+    DramGeometry g;
+    AsymmetricLayout l(g, {});
+    TranslationTable t(l);
+    swapFirstAndLastGroup(t, g);
+    const GlobalRowId last = g.totalRows() - 1;
+    EXPECT_EQ(t.physicalOf(last), last - 31);
+    EXPECT_EQ(t.logicalOf(last - 31), last);
+    EXPECT_TRUE(t.isFast(last));
+    EXPECT_FALSE(t.isFast(last - 31));
+    EXPECT_EQ(t.logicalInFastSlot(0, 1), 30u);
+    // Two rows far apart: one page of each array at either end.
+    EXPECT_EQ(t.residentPages(), 4u);
+
+    t.reset();
+    EXPECT_EQ(t.residentPages(), 0u);
+    EXPECT_EQ(t.swapCount(), 0u);
+    for (GlobalRowId r = 0; r <= last; ++r) {
+        ASSERT_EQ(t.physicalOf(r), r);
+        ASSERT_EQ(t.logicalOf(r), r);
+    }
+}
+
+TEST(TranslationTable, SparseSwapsSaveLoadSaveIsByteEqual)
+{
+    DramGeometry g;
+    AsymmetricLayout l(g, {});
+    TranslationTable a(l);
+    const std::size_t empty = savedBytes(a).size();
+    swapFirstAndLastGroup(a, g);
+    const std::vector<unsigned char> saved = savedBytes(a);
+    // Two groups: their indices and permutation bytes.
+    EXPECT_EQ(saved.size(), empty + 2 * (8 + 32));
+
+    TranslationTable b(l);
+    b.swap(500, 501); // the load replaces, not merges
+    Archive in(saved);
+    b.serdeState(in);
+    in.finish();
+    EXPECT_EQ(savedBytes(b), saved);
+    EXPECT_EQ(b.swapCount(), 3u);
+    EXPECT_EQ(b.physicalOf(500), 500u);
+    EXPECT_EQ(b.physicalOf(g.totalRows() - 2), g.totalRows() - 31);
 }

@@ -353,6 +353,87 @@ TEST(SnapshotDeathTest, FootprintRowOutsideGeometryIsFatal)
                  "geometry's 1048576 rows");
 }
 
+namespace
+{
+
+/** Address of the first line of global row @p row. */
+Addr
+rowAddr(System &sys, GlobalRowId row)
+{
+    return sys.dram().mapper().encode(
+        decodeGlobalRowId(sys.dram().geometry(), row));
+}
+
+/** The DAS manager's section after touching rows 5 and the last. */
+std::vector<unsigned char>
+sectionTouchingRowFiveAndTheLast(System &sys)
+{
+    DasManager &das = sys.manager();
+    das.access(rowAddr(sys, sys.dram().geometry().totalRows() - 1), false,
+               0, Continuation{}, 0);
+    das.access(rowAddr(sys, 5), false, 0, Continuation{}, 0);
+    Archive ar;
+    das.serdeState(ar);
+    return {ar.payload().begin(), ar.payload().end()};
+}
+
+} // namespace
+
+TEST(Snapshot, FootprintRoundTripIncludesTheLastRow)
+{
+    SimConfig cfg = snapConfig(DesignKind::Standard);
+    SyntheticTrace trace(snapProfile(), 1);
+    System sys(cfg, {&trace});
+    const std::vector<unsigned char> bytes = sectionTouchingRowFiveAndTheLast(sys);
+    // The footprint closes the section: row 5, then the last row.
+    const std::uint64_t last = cfg.geom.totalRows() - 1;
+    std::uint64_t saved[2];
+    std::memcpy(saved, bytes.data() + bytes.size() - 16, 16);
+    EXPECT_EQ(saved[0], 5u);
+    EXPECT_EQ(saved[1], last);
+
+    SyntheticTrace trace2(snapProfile(), 1);
+    System other(cfg, {&trace2});
+    other.manager().access(rowAddr(other, 9), false, 0, Continuation{}, 0);
+    Archive in(bytes);
+    other.manager().serdeState(in); // replaces row 9, not merged
+    in.finish();
+    EXPECT_EQ(other.manager().footprintRows(), 2u);
+    Archive again;
+    other.manager().serdeState(again);
+    EXPECT_EQ(std::vector<unsigned char>(again.payload().begin(),
+                                         again.payload().end()),
+              bytes);
+}
+
+TEST(SnapshotDeathTest, FootprintRowsOutOfOrderAreFatal)
+{
+    SimConfig cfg = snapConfig(DesignKind::Standard);
+    SyntheticTrace trace(snapProfile(), 1);
+    System sys(cfg, {&trace});
+    const std::vector<unsigned char> bytes = sectionTouchingRowFiveAndTheLast(sys);
+    const std::uint64_t last = cfg.geom.totalRows() - 1;
+
+    // Descending: the last row first, then row 5.
+    std::vector<unsigned char> swapped = bytes;
+    std::memcpy(swapped.data() + swapped.size() - 16, &last, 8);
+    const std::uint64_t five = 5;
+    std::memcpy(swapped.data() + swapped.size() - 8, &five, 8);
+    Archive in(swapped);
+    EXPECT_DEATH(sys.manager().serdeState(in),
+                 "DAS manager footprint row 5 does not follow footprint "
+                 "row " + std::to_string(last) +
+                     ": rows are saved in ascending order");
+
+    // A repeat would restore one row where the count says two.
+    std::vector<unsigned char> repeated = bytes;
+    std::memcpy(repeated.data() + repeated.size() - 8, &five, 8);
+    Archive in2(repeated);
+    EXPECT_DEATH(sys.manager().serdeState(in2),
+                 "DAS manager footprint row 5 does not follow footprint "
+                 "row 5");
+}
+
 TEST(SnapshotDeathTest, UnorderedMissQueueIsFatal)
 {
     // A well-formed start of System::serdeState whose two pending
