@@ -7,8 +7,10 @@
 For each LABEL=BUILD_DIR, every repetition runs
 BUILD_DIR/bench/micro_components on the ledger's rows (the
 translation-table lookup and swap, the construction of a mcf DAS
-System, the cache lookup, the translation-cache lookup at three
-capacities and the controller's row-hit issue loop). The builds alternate within each
+System, the cache lookup, the cache fill with an LRU eviction, the
+translation-cache insert with an LRU replacement, the translation-cache
+lookup at three capacities and the controller's row-hit issue loop).
+The builds alternate within each
 repetition, in reversed order every other time, so host drift and
 order effects hit them alike. Prints one JSON document
 (the BENCH_micro.json format): the host and, per label, each row's
@@ -31,6 +33,8 @@ ROWS = [
     "BM_TranslationTableSwap",
     "BM_SystemConstruct",
     "BM_CacheAccess",
+    "BM_CacheFill",
+    "BM_TranslationCacheInsert",
     "BM_TranslationCacheLookup/32768",
     "BM_TranslationCacheLookup/131072",
     "BM_TranslationCacheLookup/262144",

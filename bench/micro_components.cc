@@ -106,6 +106,22 @@ BENCHMARK(BM_TranslationCacheLookup)
     ->Arg(256 * 1024);
 
 static void
+BM_TranslationCacheInsert(benchmark::State &state)
+{
+    // The default 128 KB tag cache fed four times its capacity in
+    // rows, so nearly every insert misses and replaces an LRU entry.
+    const std::uint64_t entries = 128 * 1024;
+    TranslationCache tc(entries, 8);
+    GlobalRowId r = 0;
+    for (auto _ : state) {
+        tc.insert(r);
+        r = (r + 1) % (4 * entries);
+    }
+    benchmark::DoNotOptimize(tc.probe(0));
+}
+BENCHMARK(BM_TranslationCacheInsert);
+
+static void
 BM_CacheAccess(benchmark::State &state)
 {
     Cache c({4 * MiB, 8, 64}, "llc");
@@ -118,6 +134,22 @@ BM_CacheAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheAccess);
+
+static void
+BM_CacheFill(benchmark::State &state)
+{
+    // LRU insert with eviction: a full LLC streams twice its capacity,
+    // so every insert misses and evicts its set's oldest line.
+    Cache c({4 * MiB, 8, 64}, "llc");
+    for (Addr a = 0; a < 4 * MiB; a += 64)
+        c.insert(a, false);
+    Addr a = 4 * MiB;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(c.insert(a, false));
+        a = (a + 64) % (8 * MiB);
+    }
+}
+BENCHMARK(BM_CacheFill);
 
 static void
 BM_SyntheticTraceGeneration(benchmark::State &state)

@@ -22,12 +22,18 @@ Cache::Cache(const CacheConfig &cfg, std::string name, std::uint64_t seed)
     if (!isPowerOfTwo(cfg.numSets()))
         fatal("cache '{}': number of sets must be a power of two", name_);
 
+    if (cfg.assoc > kLruMaxAssoc) {
+        fatal("cache '{}': associativity {} exceeds the {} ways a "
+              "one-byte recency rank can order",
+              name_, cfg.assoc, kLruMaxAssoc);
+    }
+
     lineShift_ = log2Exact(cfg.lineBytes);
     setMask_ = cfg.numSets() - 1;
     const std::size_t n = cfg.numSets() * cfg.assoc;
     tags_.assign(n, kAddrInvalid);
-    dirty_.assign(n, 0);
-    stamps_.assign(n, 0);
+    order_.assign(n, kLruEmpty);
+    dirty_.assign(divCeil(n, 8), 0);
 
     statGroup_.addCounter("hits", &hits_);
     statGroup_.addCounter("misses", &misses_);
@@ -35,126 +41,143 @@ Cache::Cache(const CacheConfig &cfg, std::string name, std::uint64_t seed)
     statGroup_.addCounter("dirtyEvictions", &dirtyEvictions_);
 }
 
-std::size_t
-Cache::find(Addr line) const
-{
-    const std::size_t base = setBase(line);
-    const Addr *tags = &tags_[base];
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        if (tags[w] == line)
-            return base + w;
-    }
-    return kNoWay;
-}
-
 bool
 Cache::access(Addr addr, bool is_write)
 {
-    const std::size_t i = find(lineAddr(addr));
-    if (i != kNoWay) {
-        stamps_[i] = ++stampCounter_;
-        if (is_write)
-            dirty_[i] = 1;
-        hits_.inc();
-        return true;
+    const Addr line = lineAddr(addr);
+    const std::size_t base = setBase(line);
+    const unsigned way = findWay(base, line);
+    if (way == cfg_.assoc) {
+        misses_.inc();
+        return false;
     }
-    misses_.inc();
-    return false;
+    lruTouch(&order_[base], cfg_.assoc, way);
+    if (is_write)
+        setDirty(base + way, true);
+    hits_.inc();
+    return true;
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    return find(lineAddr(addr)) != kNoWay;
+    const Addr line = lineAddr(addr);
+    return findWay(setBase(line), line) != cfg_.assoc;
 }
 
 Cache::Eviction
 Cache::insert(Addr addr, bool dirty)
 {
-    Addr line = lineAddr(addr);
+    const Addr line = lineAddr(addr);
+    const std::size_t base = setBase(line);
+    std::uint8_t *order = &order_[base];
     Eviction ev;
-    if (std::size_t i = find(line); i != kNoWay) {
-        stamps_[i] = ++stampCounter_;
-        dirty_[i] |= dirty ? 1 : 0;
+    if (unsigned way = findWay(base, line); way != cfg_.assoc) {
+        lruTouch(order, cfg_.assoc, way);
+        if (dirty)
+            setDirty(base + way, true);
         return ev;
     }
 
-    const std::size_t base = setBase(line);
-    std::size_t victim = kNoWay;
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        if (tags_[base + w] == kAddrInvalid) {
-            victim = base + w;
-            break;
-        }
-    }
-    if (victim == kNoWay) {
-        if (cfg_.repl == CacheRepl::Random) {
-            victim = base + rng_.nextBelow(cfg_.assoc);
-        } else {
-            victim = base;
-            for (unsigned w = 1; w < cfg_.assoc; ++w) {
-                if (stamps_[base + w] < stamps_[victim])
-                    victim = base + w;
-            }
-        }
+    unsigned way = lruFirstEmpty(order, cfg_.assoc);
+    if (way == cfg_.assoc) {
+        way = cfg_.repl == CacheRepl::Random
+                  ? static_cast<unsigned>(rng_.nextBelow(cfg_.assoc))
+                  : lruOldest(order, cfg_.assoc);
         ev.valid = true;
-        ev.line = tags_[victim];
-        ev.dirty = dirty_[victim] != 0;
+        ev.line = tags_[base + way];
+        ev.dirty = dirtyAt(base + way);
         evictions_.inc();
         if (ev.dirty)
             dirtyEvictions_.inc();
     }
 
-    tags_[victim] = line;
-    dirty_[victim] = dirty ? 1 : 0;
-    stamps_[victim] = ++stampCounter_;
+    tags_[base + way] = line;
+    setDirty(base + way, dirty);
+    lruTouch(order, cfg_.assoc, way);
     return ev;
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
-    const std::size_t i = find(lineAddr(addr));
-    if (i == kNoWay)
+    const Addr line = lineAddr(addr);
+    const std::size_t base = setBase(line);
+    const unsigned way = findWay(base, line);
+    if (way == cfg_.assoc)
         return false;
-    bool was_dirty = dirty_[i] != 0;
-    tags_[i] = kAddrInvalid;
-    dirty_[i] = 0;
+    const bool was_dirty = dirtyAt(base + way);
+    tags_[base + way] = kAddrInvalid;
+    setDirty(base + way, false);
+    lruRemove(&order_[base], cfg_.assoc, way);
     return was_dirty;
 }
 
 void
 Cache::serdeState(Archive &ar)
 {
-    // Only valid lines are saved, as (index, tag, dirty, stamp). An
-    // empty way's dirty bit and stamp are never read: insert() fills
-    // it before comparing stamps, and find() matches valid tags only.
     ar.section("cache");
-    ar.io(stampCounter_);
     rng_.serdeState(ar);
     if (ar.loading()) {
         std::fill(tags_.begin(), tags_.end(), kAddrInvalid);
+        std::fill(order_.begin(), order_.end(), kLruEmpty);
         std::fill(dirty_.begin(), dirty_.end(), 0);
-        std::fill(stamps_.begin(), stamps_.end(), 0);
     }
+    const unsigned assoc = cfg_.assoc;
     ar.liveEntries(
-        tags_.size(), "cache '" + name_ + "' line",
-        [this](auto &&entry) {
-            for (std::size_t i = 0; i < tags_.size(); ++i)
-                if (tags_[i] != kAddrInvalid)
-                    entry(i);
+        cfg_.numSets(), "cache '" + name_ + "' set",
+        [&](auto &&entry) {
+            for (std::size_t s = 0; s <= setMask_; ++s)
+                if (lruValidWays(&order_[s * assoc], assoc) != 0)
+                    entry(s);
         },
-        [&](std::uint64_t i) {
-            bool dirty = dirty_[i] != 0;
-            ar.io(tags_[i]);
-            ar.io(dirty);
-            ar.io(stamps_[i]);
-            if (ar.loading()) {
-                dirty_[i] = dirty ? 1 : 0;
-                checkRestoredLine(static_cast<std::size_t>(i));
+        [&](std::uint64_t s) {
+            const std::size_t base = static_cast<std::size_t>(s) * assoc;
+            ar.blob(&order_[base], assoc);
+            if (ar.loading())
+                checkRestoredOrder(base);
+            // The set's dirty bits, way w at bit w % 8 of byte w / 8.
+            std::uint8_t mask[kLruMaxAssoc / 8 + 1] = {};
+            const std::size_t mask_bytes = divCeil(assoc, 8);
+            for (unsigned w = 0; ar.saving() && w < assoc; ++w)
+                mask[w >> 3] |= dirtyAt(base + w) ? 1u << (w & 7) : 0u;
+            ar.blob(mask, mask_bytes);
+            for (unsigned w = 0; w < 8 * mask_bytes; ++w) {
+                const bool dirty = (mask[w >> 3] >> (w & 7) & 1) != 0;
+                const bool valid = w < assoc && order_[base + w] != kLruEmpty;
+                if (ar.loading() && dirty && !valid) {
+                    fatal("checkpoint: cache '{}' set {}: way {} is marked "
+                          "dirty but holds no line",
+                          name_, s, w);
+                }
+                if (!valid)
+                    continue;
+                ar.io(tags_[base + w]);
+                if (ar.loading()) {
+                    setDirty(base + w, dirty);
+                    checkRestoredLine(base + w);
+                }
             }
         });
     ar.end();
+}
+
+void
+Cache::checkRestoredOrder(std::size_t base) const
+{
+    const std::uint8_t *order = &order_[base];
+    const unsigned valid = lruValidWays(order, cfg_.assoc);
+    if (valid == 0) {
+        fatal("checkpoint: cache '{}' set {}: saved as live with no valid "
+              "way",
+              name_, base / cfg_.assoc);
+    }
+    if (unsigned w = lruBadWay(order, cfg_.assoc); w != cfg_.assoc) {
+        fatal("checkpoint: cache '{}' set {}: way {} has recency rank {}; "
+              "the set's {} valid ways must rank 0..{} once each",
+              name_, base / cfg_.assoc, w, static_cast<unsigned>(order[w]),
+              valid, valid - 1);
+    }
 }
 
 void
@@ -178,11 +201,6 @@ Cache::checkRestoredLine(std::size_t i) const
                   "{} of its set",
                   name_, i, tag, w);
         }
-    }
-    if (stamps_[i] > stampCounter_) {
-        fatal("checkpoint: cache '{}' line {}: stamp {} is newer than the "
-              "stamp counter {}",
-              name_, i, stamps_[i], stampCounter_);
     }
 }
 

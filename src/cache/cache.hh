@@ -1,8 +1,12 @@
 /**
  * @file
  * A functional set-associative write-back cache with pluggable
- * replacement, used for L1/L2/LLC and for the DAS translation cache.
- * Timing is handled by the owner; this class models contents only.
+ * replacement, used for L1/L2/LLC. Timing is handled by the owner;
+ * this class models contents only.
+ *
+ * Host layout: 9.125 bytes a line, an 8-byte tag, a one-byte LRU rank
+ * (common/lru_order.hh) and a dirty bit; the default 4 MiB LLC's
+ * 65,536 lines take 584 KiB.
  */
 
 #ifndef DASDRAM_CACHE_CACHE_HH
@@ -13,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/lru_order.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -95,20 +100,26 @@ class Cache
     std::uint64_t evictions() const { return evictions_.value(); }
     std::uint64_t dirtyEvictions() const { return dirtyEvictions_.value(); }
 
+    /** Host bytes of the directory: 9.125 a line. */
+    std::size_t
+    hostBytes() const
+    {
+        return tags_.size() * sizeof(Addr) + order_.size() + dirty_.size();
+    }
+
     /** Fraction of lines currently valid (for warm-up checks). */
     double occupancy() const;
 
-    /** Checkpoint the valid lines (tag, dirty, recency stamp), the
-     *  stamp counter and the replacement RNG (stats ride the owner's
-     *  StatGroup tree). */
+    /** Checkpoint the replacement RNG and each set holding a valid
+     *  line as its recency ranks, its dirty mask and the tags of its
+     *  valid ways (stats ride the owner's StatGroup tree). An empty
+     *  way holds kAddrInvalid, kLruEmpty and a clean bit, so empty
+     *  sets are not saved. */
     void serdeState(Archive &ar);
 
     StatGroup &stats() { return statGroup_; }
 
   private:
-    /** Directory slot of a miss. */
-    static constexpr std::size_t kNoWay = ~std::size_t{0};
-
     /** First directory slot of @p line's set. */
     std::size_t
     setBase(Addr line) const
@@ -117,11 +128,39 @@ class Cache
                cfg_.assoc;
     }
 
-    /** Directory slot holding @p line, or kNoWay. */
-    std::size_t find(Addr line) const;
+    /** Way of the set at @p base holding @p line, or assoc. */
+    unsigned
+    findWay(std::size_t base, Addr line) const
+    {
+        const Addr *tags = &tags_[base];
+        unsigned w = 0;
+        while (w < cfg_.assoc && tags[w] != line)
+            ++w;
+        return w;
+    }
+
+    bool
+    dirtyAt(std::size_t i) const
+    {
+        return (dirty_[i >> 3] >> (i & 7) & 1) != 0;
+    }
+
+    void
+    setDirty(std::size_t i, bool dirty)
+    {
+        const auto bit = static_cast<std::uint8_t>(1u << (i & 7));
+        if (dirty)
+            dirty_[i >> 3] |= bit;
+        else
+            dirty_[i >> 3] &= static_cast<std::uint8_t>(~bit);
+    }
+
+    /** Loader: fatal() unless the restored set at @p base ranks its
+     *  valid ways 0..k-1 once each (k > 0). */
+    void checkRestoredOrder(std::size_t base) const;
 
     /** Loader: fatal() unless restored line @p i is a valid, unique
-     *  member of its set, stamped no later than the counter. */
+     *  member of its set. */
     void checkRestoredLine(std::size_t i) const;
 
     CacheConfig cfg_;
@@ -132,9 +171,11 @@ class Cache
      *  A tag of kAddrInvalid is an empty way, so an 8-way set's tags
      *  fill one 64-byte host line and a miss reads nothing else. */
     std::vector<Addr> tags_;
+    /** Each set's LRU ranks, kLruEmpty for an empty way. */
+    std::vector<std::uint8_t> order_;
+    /** Dirty bit of line i at bit i % 8 of byte i / 8; an empty way's
+     *  bit is clear. */
     std::vector<std::uint8_t> dirty_;
-    std::vector<std::uint64_t> stamps_; ///< LRU recency
-    std::uint64_t stampCounter_ = 0;
     Rng rng_;
 
     StatGroup statGroup_;

@@ -13,6 +13,12 @@ MshrFile::MshrFile(unsigned capacity, std::string name)
     : capacity_(capacity), lines_(capacity, kAddrInvalid),
       waiters_(capacity), statGroup_(std::move(name))
 {
+    // With no entry every miss waits for a free one forever.
+    if (capacity == 0) {
+        fatal("MSHR file '{}' has no entries (mshrsPerCore must be at "
+              "least 1)",
+              statGroup_.name());
+    }
     // Load factor at most one half keeps probe chains short.
     const unsigned bits =
         std::max(2u, log2Ceil(2 * static_cast<std::uint64_t>(capacity)));

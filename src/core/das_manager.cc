@@ -22,7 +22,8 @@ DasManager::DasManager(DramSystem &dram, CacheHierarchy *caches,
             fatal("dynamic DAS management requires a cache hierarchy "
                   "(table walks spill into the LLC)");
         tc_ = std::make_unique<TranslationCache>(
-            cfg.translationCacheBytes, cfg.translationCacheAssoc);
+            cfg.translationCacheBytes, cfg.translationCacheAssoc,
+            dram.geometry().totalRows());
         filter_ = std::make_unique<PromotionFilter>(cfg.promotion);
         repl_ = std::make_unique<FastSlotReplacement>(
             cfg.replacement, layout.fastSlotsPerGroup(),

@@ -9,18 +9,27 @@ namespace dasdram
 {
 
 TranslationCache::TranslationCache(std::uint64_t capacity_bytes,
-                                   unsigned assoc)
-    : capacity_(capacity_bytes), assoc_(assoc),
+                                   unsigned assoc, std::uint64_t total_rows)
+    : capacity_(capacity_bytes), assoc_(assoc), totalRows_(total_rows),
       statGroup_("translationCache")
 {
     if (assoc_ == 0 || capacity_ % assoc_ != 0)
         fatal("translation cache capacity must be a multiple of assoc");
+    if (assoc_ > kLruMaxAssoc) {
+        fatal("translation cache associativity {} exceeds the {} ways a "
+              "one-byte recency rank can order",
+              assoc_, kLruMaxAssoc);
+    }
     numSets_ = capacity_ / assoc_;
     if (!isPowerOfTwo(numSets_))
         fatal("translation cache set count must be a power of two");
-    rows_.assign(capacity_, ~0ULL);
-    valid_.assign(capacity_, 0);
-    stamps_.assign(capacity_, 0);
+    if (totalRows_ > kEmptyRow) {
+        fatal("translation cache: the geometry's {} rows do not fit a "
+              "4-byte row id (at most {})",
+              totalRows_, kEmptyRow);
+    }
+    rows_.assign(capacity_, kEmptyRow);
+    order_.assign(capacity_, kLruEmpty);
 
     statGroup_.addCounter("hits", &hits_);
     statGroup_.addCounter("misses", &misses_);
@@ -37,97 +46,117 @@ TranslationCache::setBase(GlobalRowId row) const
     return static_cast<std::size_t>((h >> 16) & (numSets_ - 1)) * assoc_;
 }
 
-std::size_t
-TranslationCache::find(GlobalRowId row) const
+unsigned
+TranslationCache::findWay(std::size_t base, GlobalRowId row) const
 {
-    const std::size_t base = setBase(row);
-    const GlobalRowId *rows = &rows_[base];
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (rows[w] == row && valid_[base + w])
-            return base + w;
-    }
-    return kNoWay;
+    const std::uint32_t *rows = &rows_[base];
+    const auto id = static_cast<std::uint32_t>(row);
+    unsigned w = 0;
+    while (w < assoc_ && rows[w] != id)
+        ++w;
+    return w;
 }
 
 bool
 TranslationCache::lookup(GlobalRowId row)
 {
-    const std::size_t i = find(row);
-    if (i != kNoWay) {
-        stamps_[i] = ++stampCounter_;
-        hits_.inc();
-        return true;
+    const std::size_t base = setBase(row);
+    const unsigned way = findWay(base, row);
+    if (way == assoc_) {
+        misses_.inc();
+        return false;
     }
-    misses_.inc();
-    return false;
+    lruTouch(&order_[base], assoc_, way);
+    hits_.inc();
+    return true;
 }
 
 bool
 TranslationCache::probe(GlobalRowId row) const
 {
-    return find(row) != kNoWay;
+    return findWay(setBase(row), row) != assoc_;
 }
 
 void
 TranslationCache::insert(GlobalRowId row)
 {
-    if (std::size_t i = find(row); i != kNoWay) {
-        stamps_[i] = ++stampCounter_;
-        return;
-    }
     const std::size_t base = setBase(row);
-    std::size_t victim = kNoWay;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (!valid_[base + w]) {
-            victim = base + w;
-            break;
-        }
+    std::uint8_t *order = &order_[base];
+    unsigned way = findWay(base, row);
+    if (way == assoc_) {
+        way = lruFirstEmpty(order, assoc_);
+        if (way == assoc_)
+            way = lruOldest(order, assoc_);
+        rows_[base + way] = static_cast<std::uint32_t>(row);
     }
-    if (victim == kNoWay) {
-        victim = base;
-        for (unsigned w = 1; w < assoc_; ++w) {
-            if (stamps_[base + w] < stamps_[victim])
-                victim = base + w;
-        }
-    }
-    rows_[victim] = row;
-    valid_[victim] = 1;
-    stamps_[victim] = ++stampCounter_;
+    lruTouch(order, assoc_, way);
 }
 
 void
 TranslationCache::invalidate(GlobalRowId row)
 {
-    if (std::size_t i = find(row); i != kNoWay)
-        valid_[i] = 0;
+    const std::size_t base = setBase(row);
+    if (unsigned way = findWay(base, row); way != assoc_) {
+        rows_[base + way] = kEmptyRow;
+        lruRemove(&order_[base], assoc_, way);
+    }
 }
 
 void
 TranslationCache::serdeState(Archive &ar)
 {
     ar.section("transCache");
-    ar.io(stampCounter_);
     if (ar.loading()) {
-        std::fill(rows_.begin(), rows_.end(), ~0ULL);
-        std::fill(valid_.begin(), valid_.end(), 0);
-        std::fill(stamps_.begin(), stamps_.end(), 0);
+        std::fill(rows_.begin(), rows_.end(), kEmptyRow);
+        std::fill(order_.begin(), order_.end(), kLruEmpty);
     }
     ar.liveEntries(
-        rows_.size(), "tag-cache entry",
+        numSets_, "tag-cache set",
         [this](auto &&entry) {
-            for (std::size_t i = 0; i < valid_.size(); ++i)
-                if (valid_[i] != 0)
-                    entry(i);
+            for (std::size_t s = 0; s < numSets_; ++s)
+                if (lruValidWays(&order_[s * assoc_], assoc_) != 0)
+                    entry(s);
         },
-        [&](std::uint64_t i) {
-            ar.io(rows_[i]);
-            ar.io(stamps_[i]);
-            if (ar.loading()) {
-                valid_[i] = 1;
-                checkRestoredEntry(static_cast<std::size_t>(i));
+        [&](std::uint64_t s) {
+            const std::size_t base = static_cast<std::size_t>(s) * assoc_;
+            ar.blob(&order_[base], assoc_);
+            if (ar.loading())
+                checkRestoredOrder(base);
+            for (std::size_t i = base; i < base + assoc_; ++i) {
+                if (order_[i] == kLruEmpty)
+                    continue;
+                GlobalRowId row = rows_[i];
+                ar.io(row);
+                if (ar.loading()) {
+                    if (row >= totalRows_) {
+                        fatal("checkpoint: tag-cache entry {}: row {} is "
+                              "outside the device's {} rows",
+                              i, row, totalRows_);
+                    }
+                    rows_[i] = static_cast<std::uint32_t>(row);
+                    checkRestoredEntry(i);
+                }
             }
         });
     ar.end();
+}
+
+void
+TranslationCache::checkRestoredOrder(std::size_t base) const
+{
+    const std::uint8_t *order = &order_[base];
+    const unsigned valid = lruValidWays(order, assoc_);
+    if (valid == 0) {
+        fatal("checkpoint: tag-cache set {}: saved as live with no valid "
+              "entry",
+              base / assoc_);
+    }
+    if (unsigned w = lruBadWay(order, assoc_); w != assoc_) {
+        fatal("checkpoint: tag-cache set {}: way {} has recency rank {}; "
+              "the set's {} valid entries must rank 0..{} once each",
+              base / assoc_, w, static_cast<unsigned>(order[w]), valid,
+              valid - 1);
+    }
 }
 
 void
@@ -141,16 +170,11 @@ TranslationCache::checkRestoredEntry(std::size_t i) const
               i, row, base / assoc_);
     }
     for (std::size_t w = base; w < i; ++w) {
-        if (valid_[w] && rows_[w] == row) {
+        if (rows_[w] == row) {
             fatal("checkpoint: tag-cache entry {}: row {} repeats entry {} "
                   "of its set",
                   i, row, w);
         }
-    }
-    if (stamps_[i] > stampCounter_) {
-        fatal("checkpoint: tag-cache entry {}: stamp {} is newer than the "
-              "stamp counter {}",
-              i, stamps_[i], stampCounter_);
     }
 }
 

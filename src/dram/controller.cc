@@ -18,6 +18,19 @@ ChannelController::ChannelController(unsigned channel_id,
       classifier_(&classifier), cfg_(cfg),
       statGroup_("channel" + std::to_string(channel_id))
 {
+    // An empty queue accepts nothing, and the write drain needs a low
+    // watermark it can fall to and a high one the queue can reach.
+    if (cfg.readQueueDepth == 0 || cfg.writeQueueDepth == 0 ||
+        cfg.writeLowWatermark >= cfg.writeHighWatermark ||
+        cfg.writeHighWatermark > cfg.writeQueueDepth) {
+        fatal("channel {} controller: need readQueueDepth >= 1, "
+              "writeQueueDepth >= 1 and writeLowWatermark < "
+              "writeHighWatermark <= writeQueueDepth; got readQueueDepth "
+              "{}, writeQueueDepth {}, writeLowWatermark {}, "
+              "writeHighWatermark {}",
+              channel_id, cfg.readQueueDepth, cfg.writeQueueDepth,
+              cfg.writeLowWatermark, cfg.writeHighWatermark);
+    }
     ranks_.reserve(geom.ranksPerChannel);
     for (unsigned r = 0; r < geom.ranksPerChannel; ++r)
         ranks_.emplace_back(timing, geom.banksPerRank);

@@ -191,7 +191,7 @@ class System
 
     /** Checkpoint envelope identity (shared with tests and tools). */
     static constexpr std::uint32_t kSnapshotMagic = 0x504b4344u; // "DCKP"
-    static constexpr std::uint16_t kSnapshotVersion = 9;
+    static constexpr std::uint16_t kSnapshotVersion = 10;
     /// @}
 
   private:

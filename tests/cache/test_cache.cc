@@ -172,11 +172,12 @@ namespace
 
 /**
  * The directory as an array of {tag, valid, dirty, stamp} structs
- * with a division-based set index: the layout Cache had before its
- * split-tag arrays, kept here as the reference model. Its snapshot
- * writes the stamp counter, the RNG and then each valid line as
- * (index, tag, dirty, stamp), so the two payloads must match byte
- * for byte.
+ * with a division-based set index and 64-bit LRU stamps: the layout
+ * Cache had before its split-tag arrays and one-byte ranks, kept here
+ * as the reference model. Its snapshot writes the RNG and then each
+ * set holding a valid line as its ranks (derived from the stamps: the
+ * number of valid lines of the set stamped later), its dirty mask and
+ * its valid tags, so the two payloads must match byte for byte.
  */
 class RefCache
 {
@@ -267,20 +268,40 @@ class RefCache
     serdeState(Archive &ar)
     {
         ar.section("cache");
-        ar.io(stampCounter_);
         rng_.serdeState(ar);
-        std::uint64_t live = 0;
-        for (const Line &l : lines_)
-            live += l.valid ? 1 : 0;
-        ar.io(live);
-        for (std::uint64_t i = 0; i < lines_.size(); ++i) {
-            Line &l = lines_[i];
-            if (!l.valid)
-                continue;
-            ar.io(i);
-            ar.io(l.tag);
-            ar.io(l.dirty);
-            ar.io(l.stamp);
+        const unsigned assoc = cfg_.assoc;
+        std::vector<std::uint64_t> live;
+        for (std::uint64_t s = 0; s < cfg_.numSets(); ++s) {
+            for (unsigned w = 0; w < assoc; ++w) {
+                if (lines_[s * assoc + w].valid) {
+                    live.push_back(s);
+                    break;
+                }
+            }
+        }
+        std::uint64_t n = live.size();
+        ar.io(n);
+        for (std::uint64_t s : live) {
+            ar.io(s);
+            Line *base = &lines_[s * assoc];
+            std::vector<std::uint8_t> ranks(assoc, kLruEmpty);
+            std::vector<std::uint8_t> mask((assoc + 7) / 8, 0);
+            for (unsigned w = 0; w < assoc; ++w) {
+                if (!base[w].valid)
+                    continue;
+                ranks[w] = 0;
+                for (unsigned v = 0; v < assoc; ++v)
+                    ranks[w] += base[v].valid &&
+                                base[v].stamp > base[w].stamp;
+                if (base[w].dirty)
+                    mask[w / 8] |= static_cast<std::uint8_t>(1u << (w % 8));
+            }
+            ar.blob(ranks.data(), ranks.size());
+            ar.blob(mask.data(), mask.size());
+            for (unsigned w = 0; w < assoc; ++w) {
+                if (base[w].valid)
+                    ar.io(base[w].tag);
+            }
         }
         ar.end();
     }
@@ -384,8 +405,15 @@ TEST_P(CacheReferenceModel, SeededOpsMatchStepByStep)
             }
         }
         EXPECT_EQ(dut.occupancy(), ref.occupancy());
-        // Same records, same stamp counter, same RNG position.
-        EXPECT_EQ(savedBytes(dut), savedBytes(ref)) << "seed " << seed;
+        // Same records, same recency order, same RNG position.
+        const std::vector<unsigned char> saved = savedBytes(dut);
+        EXPECT_EQ(saved, savedBytes(ref)) << "seed " << seed;
+        Cache back(cfg, "dut", seed + 1);
+        Archive in(saved);
+        back.serdeState(in);
+        in.finish();
+        EXPECT_EQ(savedBytes(back), saved)
+            << "save-load-save, seed " << seed;
     }
 }
 
@@ -395,7 +423,12 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(4u, CacheRepl::Lru),
                       std::make_tuple(8u, CacheRepl::Lru),
                       std::make_tuple(4u, CacheRepl::Random),
-                      std::make_tuple(8u, CacheRepl::Random)));
+                      std::make_tuple(8u, CacheRepl::Random),
+                      std::make_tuple(2u, CacheRepl::Lru),
+                      std::make_tuple(16u, CacheRepl::Lru),
+                      std::make_tuple(1u, CacheRepl::Random),
+                      std::make_tuple(2u, CacheRepl::Random),
+                      std::make_tuple(16u, CacheRepl::Random)));
 
 TEST(Cache, SaveLoadSaveRoundTripsBytes)
 {
@@ -425,34 +458,49 @@ TEST(Cache, SaveLoadSaveRoundTripsBytes)
     }
 }
 
+TEST(Cache, HostBytesPerLine)
+{
+    // An 8-byte tag, a one-byte rank and a dirty bit: the default LLC
+    // takes 584 KiB, where a tag, a 64-bit stamp and a dirty byte a
+    // line took 1.06 MiB.
+    Cache llc({4 * MiB, 8, 64}, "llc");
+    EXPECT_EQ(llc.hostBytes(), 65536u * 9 + 65536u / 8);
+}
+
+TEST(CacheDeathTest, AssociativityBeyondARankByteIsFatal)
+{
+    EXPECT_DEATH(Cache({256 * 64, 256, 64}, "wide"),
+                 "cache 'wide': associativity 256 exceeds the 255 ways");
+}
+
 namespace
 {
 
-/** One saved line of a crafted "cache" section. */
-struct CraftedLine
+/** One saved set of a crafted "cache" section: its index, its ranks,
+ *  its dirty mask and the tags of its valid ways. */
+struct CraftedSet
 {
     std::uint64_t index;
-    Addr tag;
-    std::uint64_t stamp = 1;
+    std::vector<std::uint8_t> ranks;
+    std::vector<Addr> tags;
+    std::uint8_t dirtyMask = 0;
 };
 
-/** A "cache" section holding @p lines, stamp counter @p counter. */
+/** A "cache" section of a 2-way cache holding @p sets. */
 std::vector<unsigned char>
-craftedCache(const std::vector<CraftedLine> &lines,
-             std::uint64_t counter = 10)
+craftedCache(const std::vector<CraftedSet> &sets)
 {
     Archive ar;
     ar.section("cache");
-    ar.io(counter);
     Rng(1).serdeState(ar);
-    std::uint64_t n = lines.size();
+    std::uint64_t n = sets.size();
     ar.io(n);
-    for (CraftedLine l : lines) {
-        bool dirty = false;
-        ar.io(l.index);
-        ar.io(l.tag);
-        ar.io(dirty);
-        ar.io(l.stamp);
+    for (CraftedSet s : sets) {
+        ar.io(s.index);
+        ar.blob(s.ranks.data(), s.ranks.size());
+        ar.blob(&s.dirtyMask, 1);
+        for (Addr tag : s.tags)
+            ar.io(tag);
     }
     ar.end();
     auto p = ar.payload();
@@ -469,50 +517,78 @@ restoreCache(const std::vector<unsigned char> &bytes)
     in.finish();
 }
 
+constexpr std::uint8_t E = kLruEmpty;
+
 } // namespace
 
 TEST(CacheDeathTest, SavedValidDisagreeingWithTagIsFatal)
 {
     // A live line whose tag is the empty-way marker.
-    restoreCache(craftedCache({{0, 0}, {1, 128}})); // well formed
-    EXPECT_DEATH(restoreCache(craftedCache({{0, 0}, {1, kAddrInvalid}})),
+    restoreCache(craftedCache({{0, {0, 1}, {0, 128}}})); // well formed
+    EXPECT_DEATH(restoreCache(craftedCache({{0, {0, 1}, {0, kAddrInvalid}}})),
                  "cache 'victim' line 1: saved as live with the empty-way "
                  "tag");
 }
 
 TEST(CacheDeathTest, LiveLineIndexOutOfRangeOrOrderIsFatal)
 {
-    EXPECT_DEATH(restoreCache(craftedCache({{4, 0}})),
-                 "cache 'victim' line 4 is outside the table's 4 entries");
-    EXPECT_DEATH(restoreCache(craftedCache({{1, 128}, {0, 0}})),
-                 "cache 'victim' line 0 does not follow cache 'victim' "
-                 "line 1");
-    EXPECT_DEATH(restoreCache(craftedCache({{1, 128}, {1, 384}})),
-                 "cache 'victim' line 1 does not follow cache 'victim' "
-                 "line 1");
+    EXPECT_DEATH(restoreCache(craftedCache({{2, {0, E}, {0}}})),
+                 "cache 'victim' set 2 is outside the table's 2 entries");
+    EXPECT_DEATH(restoreCache(craftedCache(
+                     {{1, {0, E}, {64}}, {0, {0, E}, {0}}})),
+                 "cache 'victim' set 0 does not follow cache 'victim' "
+                 "set 1");
+    EXPECT_DEATH(restoreCache(craftedCache(
+                     {{1, {0, E}, {64}}, {1, {E, 0}, {192}}})),
+                 "cache 'victim' set 1 does not follow cache 'victim' "
+                 "set 1");
 }
 
 TEST(CacheDeathTest, TagOutsideItsSetIsFatal)
 {
     // Line 64 maps to set 1, not set 0; 0x41 is not line-aligned.
-    EXPECT_DEATH(restoreCache(craftedCache({{0, 64}})),
+    EXPECT_DEATH(restoreCache(craftedCache({{0, {0, E}, {64}}})),
                  "cache 'victim' line 0: tag 40 does not belong to set 0");
-    EXPECT_DEATH(restoreCache(craftedCache({{0, 0x41}})),
+    EXPECT_DEATH(restoreCache(craftedCache({{0, {0, E}, {0x41}}})),
                  "cache 'victim' line 0: tag 41 does not belong to set 0");
 }
 
 TEST(CacheDeathTest, RepeatedTagInASetIsFatal)
 {
-    EXPECT_DEATH(restoreCache(craftedCache({{0, 128}, {1, 128}})),
+    EXPECT_DEATH(restoreCache(craftedCache({{0, {0, 1}, {128, 128}}})),
                  "cache 'victim' line 1: tag 80 repeats line 0 of its set");
 }
 
-TEST(CacheDeathTest, StampNewerThanTheCounterIsFatal)
+TEST(CacheDeathTest, RanksNotAPermutationAreFatal)
 {
-    restoreCache(craftedCache({{0, 0, 10}})); // stamp == counter is legal
-    EXPECT_DEATH(restoreCache(craftedCache({{0, 0, 11}})),
-                 "cache 'victim' line 0: stamp 11 is newer than the stamp "
-                 "counter 10");
+    // The valid ways of a set must rank 0..k-1 once each.
+    restoreCache(craftedCache({{0, {E, 0}, {0}}})); // well formed
+    EXPECT_DEATH(restoreCache(craftedCache({{0, {1, 1}, {0, 128}}})),
+                 "cache 'victim' set 0: way 1 has recency rank 1; the "
+                 "set's 2 valid ways must rank 0..1 once each");
+    EXPECT_DEATH(restoreCache(craftedCache({{0, {2, 0}, {0, 128}}})),
+                 "cache 'victim' set 0: way 0 has recency rank 2");
+    EXPECT_DEATH(restoreCache(craftedCache({{1, {E, 1}, {64}}})),
+                 "cache 'victim' set 1: way 1 has recency rank 1; the "
+                 "set's 1 valid ways must rank 0..0 once each");
+}
+
+TEST(CacheDeathTest, DirtyBitOnAnEmptyWayIsFatal)
+{
+    restoreCache(craftedCache({{0, {0, E}, {0}, 0b01}})); // well formed
+    EXPECT_DEATH(restoreCache(craftedCache({{0, {0, E}, {0}, 0b10}})),
+                 "cache 'victim' set 0: way 1 is marked dirty but holds "
+                 "no line");
+    // Bits past the set's two ways name no way at all.
+    EXPECT_DEATH(restoreCache(craftedCache({{0, {0, 1}, {0, 128}, 0x80}})),
+                 "cache 'victim' set 0: way 7 is marked dirty but holds "
+                 "no line");
+}
+
+TEST(CacheDeathTest, LiveSetWithNoValidWayIsFatal)
+{
+    EXPECT_DEATH(restoreCache(craftedCache({{1, {E, E}, {}}})),
+                 "cache 'victim' set 1: saved as live with no valid way");
 }
 
 namespace
@@ -547,8 +623,8 @@ randomOp(Cache &c, Rng &ops, std::uint64_t span)
 
 TEST_P(CacheMidRunRestore, DroppedStateIsNeverRead)
 {
-    // Seeded traffic with invalidations, so the original's empty ways
-    // keep stale dirty bits and stamps. Save midway, restore into a
+    // Seeded traffic with invalidations, so the original's sets empty
+    // ways in the middle of their order. Save midway, restore into a
     // cache with other contents and another RNG seed (the RNG must
     // come from the snapshot) and drive both with the same
     // operations: every hit, victim and later snapshot must agree.
@@ -594,8 +670,9 @@ TEST(Cache, FullDirectorySavesNoMoreThanTheDenseForm)
 {
     // The dense form saved a count and (tag, valid, dirty, stamp) for
     // every line: an empty directory's section plus 32 bytes a line.
-    // A live line saves (index, tag, dirty, stamp), so a full
-    // directory's section is exactly that long.
+    // A live set saves its index, a rank byte a way, a dirty-mask byte
+    // (4 ways) and each valid tag, so a full 4-way directory's section
+    // is 45 bytes a set.
     const CacheConfig cfg{4 * KiB, 4, 64};
     Cache c(cfg, "c");
     const std::size_t empty = savedBytes(c).size();
@@ -603,5 +680,7 @@ TEST(Cache, FullDirectorySavesNoMoreThanTheDenseForm)
         c.insert(a, true);
     ASSERT_DOUBLE_EQ(c.occupancy(), 1.0);
     EXPECT_EQ(savedBytes(c).size(),
+              empty + cfg.numSets() * (8 + 4 + 1 + 4 * 8));
+    EXPECT_LT(savedBytes(c).size(),
               empty + cfg.sizeBytes / cfg.lineBytes * 32);
 }

@@ -78,6 +78,14 @@ TEST(MshrDeathTest, DoubleAllocatePanics)
     EXPECT_DEATH(m.allocate(0x100), "already outstanding");
 }
 
+TEST(MshrDeathTest, ZeroCapacityIsFatal)
+{
+    // With no entry every miss would wait for a free one forever.
+    EXPECT_DEATH(MshrFile(0, "l1mshr"),
+                 "MSHR file 'l1mshr' has no entries \\(mshrsPerCore must "
+                 "be at least 1\\)");
+}
+
 TEST(MshrDeathTest, CompleteWithoutEntryPanics)
 {
     MshrFile m(4);

@@ -100,10 +100,11 @@ namespace
 {
 
 /**
- * The tag cache as an array of {row, valid, stamp} structs, the layout
- * TranslationCache had before its split arrays, kept as the reference
- * model. Invalidation leaves the row behind; the snapshot writes the
- * stamp counter and then each valid entry as (index, row, stamp), so
+ * The tag cache as an array of {row, valid, stamp} structs with 64-bit
+ * LRU stamps, the layout TranslationCache had before its one-byte
+ * ranks, kept as the reference model. Invalidation leaves the row and
+ * stamp behind. Its snapshot derives each valid entry's rank from the
+ * stamps (the number of valid entries of its set stamped later), so
  * the two payloads must match byte for byte.
  */
 class RefTranslationCache
@@ -159,18 +160,35 @@ class RefTranslationCache
     serdeState(Archive &ar)
     {
         ar.section("transCache");
-        ar.io(stampCounter_);
-        std::uint64_t live = 0;
-        for (const Entry &e : entries_)
-            live += e.valid ? 1 : 0;
-        ar.io(live);
-        for (std::uint64_t i = 0; i < entries_.size(); ++i) {
-            Entry &e = entries_[i];
-            if (!e.valid)
-                continue;
-            ar.io(i);
-            ar.io(e.row);
-            ar.io(e.stamp);
+        std::vector<std::uint64_t> live;
+        for (std::uint64_t s = 0; s < numSets_; ++s) {
+            for (unsigned w = 0; w < assoc_; ++w) {
+                if (entries_[s * assoc_ + w].valid) {
+                    live.push_back(s);
+                    break;
+                }
+            }
+        }
+        std::uint64_t n = live.size();
+        ar.io(n);
+        for (std::uint64_t s : live) {
+            ar.io(s);
+            const Entry *base = &entries_[s * assoc_];
+            std::vector<std::uint8_t> ranks(assoc_, kLruEmpty);
+            for (unsigned w = 0; w < assoc_; ++w) {
+                if (!base[w].valid)
+                    continue;
+                ranks[w] = 0;
+                for (unsigned v = 0; v < assoc_; ++v)
+                    ranks[w] += base[v].valid &&
+                                base[v].stamp > base[w].stamp;
+            }
+            ar.blob(ranks.data(), assoc_);
+            for (unsigned w = 0; w < assoc_; ++w) {
+                GlobalRowId row = base[w].row;
+                if (base[w].valid)
+                    ar.io(row);
+            }
         }
         ar.end();
     }
@@ -221,7 +239,7 @@ savedBytes(T &tc)
 
 TEST(TranslationCache, SeededOpsMatchReferenceModel)
 {
-    for (unsigned assoc : {1u, 4u, 8u}) {
+    for (unsigned assoc : {1u, 2u, 4u, 8u, 16u}) {
         for (std::uint64_t seed : {1u, 2u}) {
             const std::uint64_t capacity = 256;
             TranslationCache dut(capacity, assoc);
@@ -248,11 +266,27 @@ TEST(TranslationCache, SeededOpsMatchReferenceModel)
                     break;
                 }
             }
-            // Stale rows of invalidated entries are not saved.
-            EXPECT_EQ(savedBytes(dut), savedBytes(ref))
+            // The ranks order each set's valid entries as the stamps
+            // do; stale rows of invalidated entries are not saved.
+            const std::vector<unsigned char> saved = savedBytes(dut);
+            EXPECT_EQ(saved, savedBytes(ref))
                 << "assoc " << assoc << " seed " << seed;
+            TranslationCache back(capacity, assoc);
+            Archive in(saved);
+            back.serdeState(in);
+            in.finish();
+            EXPECT_EQ(savedBytes(back), saved)
+                << "save-load-save, assoc " << assoc << " seed " << seed;
         }
     }
+}
+
+TEST(TranslationCache, HostBytesPerEntry)
+{
+    // A 4-byte row id and a one-byte rank: 640 KiB at the default
+    // 128 KB, where a 64-bit row and stamp and a valid byte took 17.
+    TranslationCache tc(128 * KiB, 8);
+    EXPECT_EQ(tc.hostBytes(), 5u * 128 * KiB);
 }
 
 TEST(TranslationCache, SaveLoadSaveRoundTripsInvalidatedEntries)
@@ -275,33 +309,41 @@ TEST(TranslationCache, SaveLoadSaveRoundTripsInvalidatedEntries)
 namespace
 {
 
-/** A "transCache" section holding (index, row, stamp) @p entries. */
+/** One saved set of a crafted "transCache" section: its index, its
+ *  ranks and the rows of its valid ways. */
+struct CraftedSet
+{
+    std::uint64_t index;
+    std::vector<std::uint8_t> ranks;
+    std::vector<GlobalRowId> rows;
+};
+
+/** A "transCache" section holding @p sets. */
 std::vector<unsigned char>
-craftedTagCache(
-    const std::vector<std::tuple<std::uint64_t, GlobalRowId,
-                                 std::uint64_t>> &entries,
-    std::uint64_t counter = 10)
+craftedTagCache(const std::vector<CraftedSet> &sets)
 {
     Archive ar;
     ar.section("transCache");
-    ar.io(counter);
-    std::uint64_t n = entries.size();
+    std::uint64_t n = sets.size();
     ar.io(n);
-    for (auto [index, row, stamp] : entries) {
-        ar.io(index);
-        ar.io(row);
-        ar.io(stamp);
+    for (CraftedSet s : sets) {
+        ar.io(s.index);
+        ar.blob(s.ranks.data(), s.ranks.size());
+        for (GlobalRowId row : s.rows)
+            ar.io(row);
     }
     ar.end();
     auto p = ar.payload();
     return {p.begin(), p.end()};
 }
 
-/** Load @p bytes into a fresh 2-set, 2-way tag cache. */
+/** Load @p bytes into a fresh 2-set, 2-way tag cache over
+ *  @p total_rows device rows. */
 void
-restoreTagCache(const std::vector<unsigned char> &bytes)
+restoreTagCache(const std::vector<unsigned char> &bytes,
+                std::uint64_t total_rows = TranslationCache::kEmptyRow)
 {
-    TranslationCache tc(4, 2);
+    TranslationCache tc(4, 2, total_rows);
     Archive in(bytes);
     tc.serdeState(in);
     in.finish();
@@ -324,45 +366,85 @@ rowsOfSet(std::size_t set, std::size_t n)
 
 TEST(TranslationCacheDeathTest, LiveEntryIndexOutOfRangeOrOrderIsFatal)
 {
+    const std::vector<GlobalRowId> s0 = rowsOfSet(0, 1);
     const std::vector<GlobalRowId> s1 = rowsOfSet(1, 2);
-    restoreTagCache(craftedTagCache({{2, s1[0], 1}, {3, s1[1], 2}}));
-    EXPECT_DEATH(restoreTagCache(craftedTagCache({{4, s1[0], 1}})),
-                 "tag-cache entry 4 is outside the table's 4 entries");
-    EXPECT_DEATH(
-        restoreTagCache(craftedTagCache({{3, s1[0], 1}, {2, s1[1], 2}})),
-        "tag-cache entry 2 does not follow tag-cache entry 3");
+    restoreTagCache(craftedTagCache({{0, {0, kLruEmpty}, {s0[0]}},
+                                     {1, {1, 0}, {s1[0], s1[1]}}}));
+    EXPECT_DEATH(restoreTagCache(craftedTagCache({{2, {0, 1}, s1}})),
+                 "tag-cache set 2 is outside the table's 2 entries");
+    EXPECT_DEATH(restoreTagCache(craftedTagCache(
+                     {{1, {0, 1}, s1}, {0, {0, kLruEmpty}, s0}})),
+                 "tag-cache set 0 does not follow tag-cache set 1");
 }
 
 TEST(TranslationCacheDeathTest, RowOutsideItsSetIsFatal)
 {
     const GlobalRowId row = rowsOfSet(1, 1)[0];
-    EXPECT_DEATH(restoreTagCache(craftedTagCache({{0, row, 1}})),
-                 "tag-cache entry 0: row " + std::to_string(row) +
-                     " does not belong to set 0");
+    EXPECT_DEATH(
+        restoreTagCache(craftedTagCache({{0, {0, kLruEmpty}, {row}}})),
+        "tag-cache entry 0: row " + std::to_string(row) +
+            " does not belong to set 0");
 }
 
 TEST(TranslationCacheDeathTest, RepeatedRowInASetIsFatal)
 {
     const GlobalRowId row = rowsOfSet(0, 1)[0];
-    EXPECT_DEATH(
-        restoreTagCache(craftedTagCache({{0, row, 1}, {1, row, 2}})),
-        "tag-cache entry 1: row " + std::to_string(row) +
-            " repeats entry 0 of its set");
+    EXPECT_DEATH(restoreTagCache(craftedTagCache({{0, {0, 1}, {row, row}}})),
+                 "tag-cache entry 1: row " + std::to_string(row) +
+                     " repeats entry 0 of its set");
 }
 
-TEST(TranslationCacheDeathTest, StampNewerThanTheCounterIsFatal)
+TEST(TranslationCacheDeathTest, RowOutsideTheDeviceIsFatal)
 {
-    const GlobalRowId row = rowsOfSet(0, 1)[0];
-    EXPECT_DEATH(restoreTagCache(craftedTagCache({{0, row, 11}})),
-                 "tag-cache entry 0: stamp 11 is newer than the stamp "
-                 "counter 10");
+    // A saved row must name a device row, so it fits the 4-byte id.
+    const std::vector<GlobalRowId> s0 = rowsOfSet(0, 8);
+    const GlobalRowId row = s0.back();
+    restoreTagCache(craftedTagCache({{0, {0, kLruEmpty}, {row}}}), row + 1);
+    EXPECT_DEATH(restoreTagCache(craftedTagCache({{0, {0, kLruEmpty}, {row}}}),
+                                 row),
+                 "tag-cache entry 0: row " + std::to_string(row) +
+                     " is outside the device's " + std::to_string(row) +
+                     " rows");
+}
+
+TEST(TranslationCacheDeathTest, RanksNotAPermutationAreFatal)
+{
+    // The valid entries of a set must rank 0..k-1 once each.
+    const std::vector<GlobalRowId> s0 = rowsOfSet(0, 2);
+    EXPECT_DEATH(restoreTagCache(craftedTagCache({{0, {0, 0}, s0}})),
+                 "tag-cache set 0: way 1 has recency rank 0; the set's 2 "
+                 "valid entries must rank 0..1 once each");
+    EXPECT_DEATH(restoreTagCache(craftedTagCache({{0, {kLruEmpty, 1}, {s0[0]}}})),
+                 "tag-cache set 0: way 1 has recency rank 1; the set's 1 "
+                 "valid entries must rank 0..0 once each");
+}
+
+TEST(TranslationCacheDeathTest, LiveSetWithNoValidEntryIsFatal)
+{
+    EXPECT_DEATH(
+        restoreTagCache(craftedTagCache({{1, {kLruEmpty, kLruEmpty}, {}}})),
+        "tag-cache set 1: saved as live with no valid entry");
+}
+
+TEST(TranslationCacheDeathTest, TooManyRowsForAFourByteIdIsFatal)
+{
+    TranslationCache fits(1024, 8, TranslationCache::kEmptyRow);
+    EXPECT_DEATH(TranslationCache(1024, 8, std::uint64_t{1} << 32),
+                 "the geometry's 4294967296 rows do not fit a 4-byte row "
+                 "id");
+}
+
+TEST(TranslationCacheDeathTest, AssociativityBeyondARankByteIsFatal)
+{
+    EXPECT_DEATH(TranslationCache(256, 256),
+                 "associativity 256 exceeds the 255 ways");
 }
 
 TEST(TranslationCache, MidRunRestoreNeverReadsDroppedState)
 {
-    // Invalidations leave stale rows and stamps in the original that
-    // a restored cache does not have: hits, evictions (seen through
-    // probes of every row) and later snapshots must still agree.
+    // Invalidations empty entries in the middle of a set's order:
+    // after a restore, hits, evictions (seen through probes of every
+    // row) and later snapshots must still agree.
     for (unsigned assoc : {1u, 4u, 8u}) {
         const std::uint64_t capacity = 256;
         TranslationCache a(capacity, assoc);
@@ -407,13 +489,15 @@ TEST(TranslationCache, MidRunRestoreNeverReadsDroppedState)
 TEST(TranslationCache, FullCacheSavesNoMoreThanTheDenseForm)
 {
     // The dense form saved a count and (row, valid, stamp) for every
-    // entry: the empty section plus 24 bytes an entry. A valid entry
-    // saves (index, row, stamp), so a full cache is exactly that long.
+    // entry: the empty section plus 24 bytes an entry. A live set
+    // saves its index, one rank byte a way and each valid row, so a
+    // full 8-way cache saves 10 bytes an entry.
     TranslationCache tc(64, 8);
     const std::size_t empty = savedBytes(tc).size();
     for (GlobalRowId r = 0; r < 4096; ++r)
         tc.insert(r);
     for (GlobalRowId r = 4096 - 256; r < 4096; ++r)
         tc.lookup(r);
-    EXPECT_EQ(savedBytes(tc).size(), empty + 64 * 24);
+    EXPECT_EQ(savedBytes(tc).size(), empty + 8 * (8 + 8 + 8 * 8));
+    EXPECT_LT(savedBytes(tc).size(), empty + 64 * 24);
 }

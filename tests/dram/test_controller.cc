@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dram/controller.hh"
@@ -181,6 +182,41 @@ TEST(Controller, QueueCapacityRespected)
     EXPECT_TRUE(h.ctrl.canAccept(true)); // write queue separate
     h.drain();
     EXPECT_TRUE(h.ctrl.canAccept(false));
+}
+
+TEST(ControllerDeathTest, QueueDepthsAndWatermarksAreChecked)
+{
+    // The fuzz grid's tiny-queues corner is the smallest legal shape.
+    ControllerConfig tiny;
+    tiny.readQueueDepth = 4;
+    tiny.writeQueueDepth = 4;
+    tiny.writeHighWatermark = 3;
+    tiny.writeLowWatermark = 1;
+    ControllerHarness ok(tiny);
+    EXPECT_TRUE(ok.ctrl.canAccept(true));
+
+    auto expect_fatal = [](void (*edit)(ControllerConfig &),
+                           const std::string &got) {
+        ControllerConfig cfg;
+        edit(cfg);
+        EXPECT_DEATH(ControllerHarness{cfg},
+                     "channel 0 controller: need readQueueDepth >= 1, "
+                     "writeQueueDepth >= 1 and writeLowWatermark < "
+                     "writeHighWatermark <= writeQueueDepth; got .*" +
+                         got);
+    };
+    // A zero depth accepted nothing: reads hung, writes were dropped.
+    expect_fatal([](ControllerConfig &c) { c.readQueueDepth = 0; },
+                 "readQueueDepth 0, writeQueueDepth 32, "
+                 "writeLowWatermark 8, writeHighWatermark 24");
+    expect_fatal([](ControllerConfig &c) { c.writeQueueDepth = 0; },
+                 "readQueueDepth 32, writeQueueDepth 0,");
+    // A high watermark the queue cannot reach never starts a drain.
+    expect_fatal([](ControllerConfig &c) { c.writeHighWatermark = 33; },
+                 "writeQueueDepth 32, writeLowWatermark 8, "
+                 "writeHighWatermark 33");
+    expect_fatal([](ControllerConfig &c) { c.writeLowWatermark = 24; },
+                 "writeLowWatermark 24, writeHighWatermark 24");
 }
 
 TEST(Controller, RefreshHappensPeriodically)

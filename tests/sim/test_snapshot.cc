@@ -288,10 +288,10 @@ TEST(SnapshotDeathTest, FutureVersionIsFatal)
 
 TEST(SnapshotDeathTest, OlderVersionIsFatal)
 {
-    // Version 8 still saved a protocol-checker presence byte.
+    // Version 9 still saved 64-bit cache and tag-cache stamps.
     std::string path = tmpPath("snap_older.ckpt");
     std::string err = binfmt::writeEnvelopeFile(
-        path, System::kSnapshotMagic, std::uint16_t{8},
+        path, System::kSnapshotMagic, std::uint16_t{9},
         std::vector<unsigned char>{1, 2, 3});
     ASSERT_TRUE(err.empty()) << err;
 
@@ -299,7 +299,7 @@ TEST(SnapshotDeathTest, OlderVersionIsFatal)
     SyntheticTrace trace(snapProfile(), 1);
     System sys(cfg, {&trace});
     EXPECT_DEATH(sys.loadSnapshot(path),
-                 "version 8 comes from an older build; re-create it");
+                 "version 9 comes from an older build; re-create it");
 }
 
 TEST(SnapshotDeathTest, ConfigFingerprintMismatchIsFatal)
